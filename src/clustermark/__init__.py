@@ -4,7 +4,6 @@ from .clustering import (
     ClusterMap,
     ClusterMapFormatError,
     MismatchReport,
-    assign,
     kmeans_fit,
     load_cluster_map,
     load_embeddings,
@@ -12,12 +11,10 @@ from .clustering import (
     save_cluster_map,
 )
 from .core import (
-    CodeHistory,
     WatermarkCode,
     code_fingerprint,
     prf_permutation,
     prf_r,
-    prob_vector,
 )
 from .detect import (
     DetectionReport,
@@ -39,7 +36,6 @@ from .reweight import (
     build_segment_table,
     cluster_probs,
     dipmark_reweight,
-    gamma_reweight,
     its_sample,
     its_score,
     kgw_reweight,

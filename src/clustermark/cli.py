@@ -23,18 +23,15 @@ from .clustering import (
     load_cluster_map,
     save_cluster_map,
 )
-from .detect import (
-    detect_aligned,
-    detect_dipmark,
-    detect_its,
-    detect_kgw,
-    detect_unigram,
-)
+from .detect import detect_method
 from .experiments import (
+    _S_GEN,
+    _S_PROMPT,
     ExperimentConfig,
     MethodSpec,
     ResultTable,
     _derive_seed,
+    _make_session,
     fit_environment,
     read_tokens,
     run_ablation_h,
@@ -43,7 +40,8 @@ from .experiments import (
     run_robustness,
     write_tokens,
 )
-from .generate import GenerationSession, generate
+from .generate import generate
+from .reweight import STRATEGIES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -153,15 +151,9 @@ def _cmd_generate(args, cfg: ExperimentConfig) -> int:
     cfg, method = _primary_method(cfg, args.key)
     length = args.length or cfg.seq_len
     model, _, map_ = fit_environment(cfg)
-    rng = np.random.default_rng(_derive_seed(cfg.seed, 0, 0, 0))
+    rng = np.random.default_rng(_derive_seed(cfg.seed, _S_PROMPT, 0, 0))
     prompt = rng.integers(0, cfg.model.n_vocab, cfg.prompt_len)
-    session = GenerationSession(
-        key=cfg.key,
-        config=method.config,
-        ngram_n=method.ngram_n,
-        cluster_map=map_ if method.config.strategy == "aligned_is" else None,
-        rng_seed=_derive_seed(cfg.seed, 1, 0, 0),
-    )
+    session = _make_session(cfg, method, map_, _derive_seed(cfg.seed, _S_GEN, 0, 0))
     tokens = generate(model, prompt, length, session)
     out_path = Path(args.tokens_out) if args.tokens_out else Path(args.out) / "tokens.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -173,27 +165,11 @@ def _cmd_generate(args, cfg: ExperimentConfig) -> int:
 def _cmd_detect(args, cfg: ExperimentConfig) -> int:
     cfg, method = _primary_method(cfg, args.key)
     tokens = read_tokens(args.tokens)
-    strat = method.config.strategy
-    n_vocab = cfg.model.n_vocab
-    if strat == "aligned_is":
-        if args.map_path:
-            map_ = load_cluster_map(args.map_path)
-        else:
-            _, _, map_ = fit_environment(cfg)
-        report = detect_aligned(tokens, cfg.key, map_, method.ngram_n, args.fpr)
-    elif strat in ("dipmark", "gamma_reweight"):
-        alpha = method.config.alpha if strat == "dipmark" else 0.5
-        report = detect_dipmark(tokens, cfg.key, n_vocab, alpha,
-                                method.ngram_n, args.fpr)
-    elif strat == "kgw":
-        report = detect_kgw(tokens, cfg.key, n_vocab, method.config.gamma,
-                            method.ngram_n, args.fpr)
-    elif strat == "unigram":
-        report = detect_unigram(tokens, cfg.key, n_vocab,
-                                method.config.gamma, args.fpr)
-    else:
-        report = detect_its(tokens, cfg.key, n_vocab, method.ngram_n, args.fpr,
-                            null_sims=cfg.its_null_sims)
+    map_ = None
+    if STRATEGIES[method.config.strategy].context == "cluster":
+        map_ = load_cluster_map(args.map_path) if args.map_path else fit_environment(cfg)[2]
+    report = detect_method(method.config, method.ngram_n, tokens, cfg.key, map_,
+                           cfg.model.n_vocab, args.fpr, null_sims=cfg.its_null_sims)
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK
 

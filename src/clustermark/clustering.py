@@ -19,7 +19,6 @@ __all__ = [
     "MismatchReport",
     "ClusterMapFormatError",
     "kmeans_fit",
-    "assign",
     "inertia",
     "mismatch_rates",
     "save_cluster_map",
@@ -159,29 +158,6 @@ def _kmeanspp_init(emb: np.ndarray, h: int, rng: np.random.Generator) -> np.ndar
     return centroids
 
 
-def _separation_relabel(centroids: np.ndarray) -> np.ndarray:
-    """Greedy farthest-first ordering of cluster labels.
-
-    Label 0 goes to one end of the widest centroid pair, each subsequent
-    label to the centroid maximizing the minimum distance to those already
-    labeled.  Returns old-label -> new-label.
-    """
-    h = centroids.shape[0]
-    d2 = _sq_distances(centroids, centroids)
-    order = [int(np.unravel_index(np.argmax(d2), d2.shape)[0])]
-    remaining = set(range(h)) - set(order)
-    while remaining:
-        rem = sorted(remaining)
-        gaps = [min(d2[r, o] for o in order) for r in rem]
-        pick = rem[int(np.argmax(gaps))]
-        order.append(pick)
-        remaining.remove(pick)
-    relabel = np.empty(h, dtype=np.int64)
-    for new, old in enumerate(order):
-        relabel[old] = new
-    return relabel
-
-
 def _lloyd_iterations(emb, h, seed, max_iters, tol):
     """Yield (labels, centroids) after each assignment sweep.
 
@@ -227,7 +203,6 @@ def kmeans_fit(
     max_iters: int = 100,
     tol: float = 1e-6,
     n_init: int = 16,
-    relabel_separated: bool = False,
 ) -> ClusterMap:
     """Lloyd's algorithm with k-means++ initialization, best of ``n_init``
     seeded restarts by within-cluster sum of squares.
@@ -235,9 +210,6 @@ def kmeans_fit(
     Each restart stops when the largest centroid movement drops below
     ``tol`` or after ``max_iters`` sweeps.  Empty clusters are repaired by
     reseeding to the point currently farthest from its assigned centroid.
-    With ``relabel_separated`` the final cluster indices are reordered
-    farthest-first; detection only needs a consistent labeling, so this is
-    off by default.
     """
     emb = _validate_embeddings(embeddings)
     n = emb.shape[0]
@@ -283,25 +255,7 @@ def kmeans_fit(
         labels[far] = c
         sizes = np.bincount(labels, minlength=h)
 
-    if relabel_separated:
-        relabel = _separation_relabel(centroids)
-        labels = relabel[labels]
-        inverse = np.argsort(relabel)
-        centroids = centroids[inverse]
-
     return ClusterMap(h=h, assignment=labels, centroids=centroids, seed=seed)
-
-
-def assign(embedding_row: np.ndarray, map_: ClusterMap) -> int:
-    """Nearest-centroid cluster index; ties break to the lowest index."""
-    row = np.asarray(embedding_row, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] != map_.centroids.shape[1]:
-        raise ValueError(
-            f"embedding dimension {row.shape} does not match centroids "
-            f"{map_.centroids.shape}"
-        )
-    d2 = ((map_.centroids - row) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
 
 
 def mismatch_rates(

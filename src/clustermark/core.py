@@ -18,11 +18,9 @@ import numpy as np
 
 __all__ = [
     "WatermarkCode",
-    "CodeHistory",
     "code_fingerprint",
     "prf_r",
     "prf_permutation",
-    "prob_vector",
     "validate_prob_vector",
 ]
 
@@ -60,22 +58,6 @@ class WatermarkCode:
         for v in self.context:
             if not 0 <= v < _MAX_TOKEN:
                 raise ValueError(f"context value {v} out of 4-byte range")
-
-
-class CodeHistory:
-    """Set of already-used code fingerprints (one generation session)."""
-
-    def __init__(self):
-        self.seen: set[int] = set()
-
-    def __contains__(self, fingerprint: int) -> bool:
-        return fingerprint in self.seen
-
-    def __len__(self) -> int:
-        return len(self.seen)
-
-    def add(self, fingerprint: int) -> None:
-        self.seen.add(fingerprint)
 
 
 def _encode(key: bytes, domain: bytes, ngram_n: int, context: tuple[int, ...]) -> bytes:
@@ -173,25 +155,3 @@ def validate_prob_vector(probs: np.ndarray, *, atol: float = 1e-9) -> None:
     total = float(probs.sum())
     if abs(total - 1.0) > atol:
         raise ValueError(f"probability vector sums to {total}, not 1 within {atol}")
-
-
-def prob_vector(values, *, renormalize: bool = False) -> np.ndarray:
-    """Validated float64 distribution over the vocabulary.
-
-    Negative entries always reject.  A sum away from 1 rejects unless the
-    caller explicitly asks for renormalization; nothing is rescaled silently.
-    """
-    p = np.asarray(values, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be a non-empty 1-d array")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability vector contains non-finite entries")
-    if np.any(p < 0):
-        raise ValueError("probability vector contains negative entries")
-    total = float(p.sum())
-    if renormalize:
-        if total <= 0:
-            raise ValueError("cannot renormalize a zero-mass vector")
-        return p / total
-    validate_prob_vector(p)
-    return p

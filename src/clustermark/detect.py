@@ -1,10 +1,12 @@
 """Model-agnostic watermark detectors with guaranteed-FPR thresholds.
 
 Every detector consumes only the observed token sequence, the secret key,
-and (for the cluster-aligned method) the stored cluster map.  Scores sum
-Bernoulli-style per-step evidence; thresholds come from the Hoeffding tail
-bound, so declared false-positive rates are guaranteed rather than
-estimated, except for the position-score sampler whose null is simulated.
+and (for the cluster-aligned method) the stored cluster map.  It sums a
+per-step score and judges the sum against the strategy's null law: exact
+binomial, its normal approximation, or a key-resampling simulation for the
+position-score sampler.  Each law gives a tight and a Hoeffding threshold
+at any false-positive rate, and the report carries its law, so one
+detection serves a whole grid of rates.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr, ndtri
+from scipy.stats import binom
 
 from .clustering import ClusterMap
 from .core import _prf_permutation_raw, code_fingerprint, prf_r
 from .generate import make_code
-from .reweight import aligned_score
+from .reweight import STRATEGIES, ReweightConfig, aligned_score, its_score
 
 __all__ = [
     "DetectionReport",
@@ -30,6 +33,7 @@ __all__ = [
     "detect_unigram",
     "detect_dipmark",
     "detect_its",
+    "detect_method",
 ]
 
 
@@ -41,7 +45,8 @@ class DetectionReport:
     ``p_exact`` the exact binomial tail where the null is binomial, or a
     Monte-Carlo estimate for the position-score detector.  ``trace`` holds
     per-step (r, token, score); r is NaN for detectors that use no keyed
-    draw.
+    draw.  ``null`` is the score's null law, which gives thresholds at
+    other false-positive rates.
     """
 
     strategy: str
@@ -54,6 +59,8 @@ class DetectionReport:
     fpr: float
     trace: list[tuple[float, int, float]] = field(repr=False, default_factory=list)
     extra: dict = field(default_factory=dict)
+    null: BinomialNull | SimulatedNull | None = field(
+        repr=False, compare=False, default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,7 +119,81 @@ def exact_binomial_pvalue(score: int, t: int, p: float) -> float:
     return float(min(1.0, math.exp(logsumexp(log_terms))))
 
 
-def _validate_tokens(tokens, min_len: int) -> np.ndarray:
+class BinomialNull:
+    """Null law of a sum of ``t`` independent Bernoulli(``rate``) scores.
+
+    ``tight`` is the exact binomial upper quantile and ``hoeffding`` the
+    closed-form bound; a report's own verdict uses the guaranteed
+    Hoeffding threshold.
+    """
+
+    def __init__(self, t: int, rate: float):
+        self.t = t
+        self.rate = rate
+
+    def tight(self, fpr: float) -> float:
+        return binom.isf(fpr, self.t, self.rate)
+
+    def hoeffding(self, fpr: float) -> float:
+        return hoeffding_threshold(self.t, self.rate, fpr)
+
+    threshold = hoeffding
+
+    def p_values(self, score: float) -> tuple[float, float]:
+        """(Hoeffding bound, exact binomial tail) at ``score``."""
+        return (hoeffding_pvalue(score, self.t, self.rate),
+                exact_binomial_pvalue(int(score), self.t, self.rate))
+
+    def extra(self, score: float) -> dict:
+        return {}
+
+
+class NormalNull(BinomialNull):
+    """Binomial null judged by its normal approximation, the customary
+    greenlist test: threshold rate*t + z_(1-fpr) * sd, also in the report."""
+
+    def __init__(self, t: int, rate: float):
+        super().__init__(t, rate)
+        self.sd = math.sqrt(rate * (1.0 - rate) * t)
+
+    def tight(self, fpr: float) -> float:
+        return self.rate * self.t + ndtri(1.0 - fpr) * self.sd
+
+    threshold = tight
+
+    def extra(self, score: float) -> dict:
+        zstat = (score - self.rate * self.t) / self.sd
+        return {"zstat": zstat, "p_normal": float(ndtr(-zstat))}
+
+
+class SimulatedNull:
+    """Monte-Carlo null of the position score from key-resampled
+    ``samples``.  No closed-form bound gives its thresholds, so ``tight``
+    and ``hoeffding`` are both the simulated quantile; the Hoeffding
+    p-value uses the per-step null means summed in ``null_mean``."""
+
+    def __init__(self, samples: np.ndarray, null_mean: float, t: int):
+        self.samples = samples
+        self.null_mean = null_mean
+        self.t = t
+
+    def tight(self, fpr: float) -> float:
+        return float(np.quantile(self.samples, 1.0 - fpr))
+
+    hoeffding = threshold = tight
+
+    def p_values(self, score: float) -> tuple[float, float]:
+        """(Hoeffding bound, Monte-Carlo tail) at ``score``."""
+        gap = score - self.null_mean
+        p_hoeffding = math.exp(-2.0 * gap * gap / self.t) if gap > 0 else 1.0
+        p_mc = (1.0 + float(np.sum(self.samples >= score))) / (1.0 + self.samples.size)
+        return p_hoeffding, p_mc
+
+    def extra(self, score: float) -> dict:
+        return {"null_mean": self.null_mean}
+
+
+def _validate_tokens(tokens, min_len: int, vocab: int) -> np.ndarray:
     arr = np.asarray(tokens, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("token sequence must be 1-d")
@@ -121,30 +202,50 @@ def _validate_tokens(tokens, min_len: int) -> np.ndarray:
             f"token sequence has {arr.size} tokens; detection needs at least "
             f"{min_len}"
         )
+    outside = (arr < 0) | (arr >= vocab)
+    if outside.any():
+        raise ValueError(
+            f"token id {arr[outside][0]} outside the vocabulary [0, {vocab})"
+        )
     return arr
 
 
-def _binomial_report(
-    strategy: str,
-    score: int,
-    t: int,
-    null_rate: float,
-    fpr: float,
-    trace,
-    extra=None,
-) -> DetectionReport:
-    threshold = hoeffding_threshold(t, null_rate, fpr)
+def _scan(arr: np.ndarray, key: bytes, strategy: str, ngram_n: int, score,
+          map_: ClusterMap | None = None, dedup: bool = False):
+    """(sum, trace) of ``score(code, token) -> (r, s)`` over the steps with a
+    full context; ``dedup=True`` skips steps whose code already appeared."""
+    seen: set[int] = set()
+    trace: list[tuple[float, int, float]] = []
+    total = 0.0
+    for i in range(ngram_n, arr.size):
+        code = make_code(key, arr[:i], ngram_n, strategy, map_)
+        if dedup:
+            fp = code_fingerprint(code)
+            if fp in seen:
+                continue
+            seen.add(fp)
+        token = int(arr[i])
+        r, s = score(code, token)
+        total += s
+        trace.append((r, token, s))
+    return total, trace
+
+
+def _report(strategy: str, score: float, trace, null, fpr: float) -> DetectionReport:
+    threshold = float(null.threshold(fpr))
+    p_hoeffding, p_exact = null.p_values(score)
     return DetectionReport(
         strategy=strategy,
         score=float(score),
-        steps_scored=t,
+        steps_scored=null.t,
         threshold=threshold,
-        p_hoeffding=hoeffding_pvalue(score, t, null_rate),
-        p_exact=exact_binomial_pvalue(score, t, null_rate),
-        verdict=score > threshold,
+        p_hoeffding=p_hoeffding,
+        p_exact=p_exact,
+        verdict=bool(score > threshold),
         fpr=fpr,
         trace=trace,
-        extra=extra or {},
+        extra=null.extra(score),
+        null=null,
     )
 
 
@@ -163,23 +264,14 @@ def detect_aligned(
     appeared, mirroring the generator's history rule; default scores every
     full-context step.
     """
-    arr = _validate_tokens(tokens, ngram_n + 1)
-    seen: set[int] = set()
-    trace: list[tuple[float, int, float]] = []
-    score = 0
-    for i in range(ngram_n, arr.size):
-        code = make_code(key, arr[:i], ngram_n, "aligned_is", map_)
-        if dedup:
-            fp = code_fingerprint(code)
-            if fp in seen:
-                continue
-            seen.add(fp)
+    arr = _validate_tokens(tokens, ngram_n + 1, map_.n_tokens)
+
+    def score(code, token):
         r = prf_r(code)
-        s = aligned_score(r, int(arr[i]), map_)
-        score += s
-        trace.append((r, int(arr[i]), float(s)))
-    t = len(trace)
-    return _binomial_report("aligned_is", score, t, 1.0 / map_.h, fpr, trace)
+        return r, float(aligned_score(r, token, map_))
+
+    total, trace = _scan(arr, key, "aligned_is", ngram_n, score, map_, dedup)
+    return _report("aligned_is", total, trace, BinomialNull(len(trace), 1.0 / map_.h), fpr)
 
 
 def detect_kgw(
@@ -196,25 +288,15 @@ def detect_kgw(
     the upper-fpr normal quantile; binomial and Hoeffding p-values are
     reported alongside.
     """
-    arr = _validate_tokens(tokens, ngram_n + 1)
+    arr = _validate_tokens(tokens, ngram_n + 1, n_vocab)
     green_size = math.ceil(gamma * n_vocab)
-    g = 0
-    trace: list[tuple[float, int, float]] = []
-    for i in range(ngram_n, arr.size):
-        code = make_code(key, arr[:i], ngram_n, "kgw")
+
+    def score(code, token):
         _, inverse = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
-        s = 1.0 if inverse[arr[i]] < green_size else 0.0
-        g += int(s)
-        trace.append((math.nan, int(arr[i]), s))
-    t = len(trace)
-    sd = math.sqrt(gamma * (1.0 - gamma) * t)
-    zstat = (g - gamma * t) / sd
-    threshold = gamma * t + ndtri(1.0 - fpr) * sd
-    report = _binomial_report("kgw", g, t, gamma, fpr, trace,
-                              extra={"zstat": zstat, "p_normal": float(ndtr(-zstat))})
-    report.threshold = threshold
-    report.verdict = g > threshold
-    return report
+        return math.nan, 1.0 if inverse[token] < green_size else 0.0
+
+    total, trace = _scan(arr, key, "kgw", ngram_n, score)
+    return _report("kgw", total, trace, NormalNull(len(trace), gamma), fpr)
 
 
 def detect_unigram(
@@ -226,21 +308,12 @@ def detect_unigram(
 ) -> DetectionReport:
     """KGW detector against the global key-only greenlist; every position
     is scored since no context is needed."""
-    arr = _validate_tokens(tokens, 1)
+    arr = _validate_tokens(tokens, 1, n_vocab)
     green_size = math.ceil(gamma * n_vocab)
     _, inverse = _prf_permutation_raw(key, 0, (), n_vocab)
     flags = inverse[arr] < green_size
-    g = int(flags.sum())
-    t = arr.size
     trace = [(math.nan, int(x), float(s)) for x, s in zip(arr, flags)]
-    sd = math.sqrt(gamma * (1.0 - gamma) * t)
-    zstat = (g - gamma * t) / sd
-    threshold = gamma * t + ndtri(1.0 - fpr) * sd
-    report = _binomial_report("unigram", g, t, gamma, fpr, trace,
-                              extra={"zstat": zstat, "p_normal": float(ndtr(-zstat))})
-    report.threshold = threshold
-    report.verdict = g > threshold
-    return report
+    return _report("unigram", int(flags.sum()), trace, NormalNull(arr.size, gamma), fpr)
 
 
 def detect_dipmark(
@@ -254,19 +327,16 @@ def detect_dipmark(
     """Quantile counter: score 1 iff the observed token sits in the top
     (1 - alpha_detect) of the keyed order.  Null rate is the exact green
     fraction, which equals 1 - alpha_detect whenever alpha*N is integral."""
-    arr = _validate_tokens(tokens, ngram_n + 1)
+    arr = _validate_tokens(tokens, ngram_n + 1, n_vocab)
     cut = math.ceil(alpha_detect * n_vocab)
-    null_rate = (n_vocab - cut) / n_vocab
-    score = 0
-    trace: list[tuple[float, int, float]] = []
-    for i in range(ngram_n, arr.size):
-        code = make_code(key, arr[:i], ngram_n, "dipmark")
+
+    def score(code, token):
         _, inverse = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
-        s = 1.0 if inverse[arr[i]] >= cut else 0.0
-        score += int(s)
-        trace.append((math.nan, int(arr[i]), s))
-    t = len(trace)
-    return _binomial_report("dipmark", score, t, null_rate, fpr, trace)
+        return math.nan, 1.0 if inverse[token] >= cut else 0.0
+
+    total, trace = _scan(arr, key, "dipmark", ngram_n, score)
+    null = BinomialNull(len(trace), (n_vocab - cut) / n_vocab)
+    return _report("dipmark", total, trace, null, fpr)
 
 
 def _its_null_structure(arr: np.ndarray, ngram_n: int):
@@ -288,8 +358,11 @@ def _its_null_samples(
 
     Each simulation redraws one unit-interval value per distinct context and
     one rank per distinct token value, mimicking a fresh key while keeping
-    the sequence's repetition structure.  Simulated in blocks to keep
-    temporaries cache-sized."""
+    the sequence's repetition structure.  Simulated in blocks of about
+    4 000 000 elements (all simulations in one block for sequences up to
+    400 scored steps at 10 000 simulations); the block size fixes how the
+    draws interleave in the RNG stream, so changing it changes every
+    simulated null."""
     ctx_idx, tok_idx = _its_null_structure(arr, ngram_n)
     n_ctx = int(ctx_idx.max()) + 1
     n_tok = int(tok_idx.max()) + 1
@@ -312,20 +385,14 @@ def _its_null_samples(
 
 def _its_score_trace(tokens, key: bytes, n_vocab: int, ngram_n: int):
     """(score, trace, keyed draws) for the position-score detector."""
-    arr = _validate_tokens(tokens, ngram_n + 1)
-    score = 0.0
-    rs = []
-    trace: list[tuple[float, int, float]] = []
-    for i in range(ngram_n, arr.size):
-        code = make_code(key, arr[:i], ngram_n, "its")
+    arr = _validate_tokens(tokens, ngram_n + 1, n_vocab)
+
+    def score(code, token):
         r = prf_r(code)
-        _, inverse = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
-        u = (float(inverse[arr[i]]) + 0.5) / n_vocab
-        s = 1.0 - abs(r - u)
-        score += s
-        rs.append(r)
-        trace.append((r, int(arr[i]), s))
-    return score, trace, np.asarray(rs)
+        return r, its_score(r, token, code, n_vocab)
+
+    total, trace = _scan(arr, key, "its", ngram_n, score)
+    return total, trace, np.asarray([r for r, _, _ in trace])
 
 
 def detect_its(
@@ -343,29 +410,32 @@ def detect_its(
     threshold are Monte-Carlo estimates (seeded) rather than guarantees.
     """
     score, trace, rs = _its_score_trace(tokens, key, n_vocab, ngram_n)
-    t = len(trace)
-
     arr = np.asarray(tokens, dtype=np.int64)
-    null = _its_null_samples(arr, ngram_n, n_vocab, null_sims, sim_seed)
-    p_mc = (1.0 + float(np.sum(null >= score))) / (1.0 + null_sims)
-    threshold = float(np.quantile(null, 1.0 - fpr))
-
+    samples = _its_null_samples(arr, ngram_n, n_vocab, null_sims, sim_seed)
     # per-step null means over the exact rank grid, so a valid Hoeffding
     # bound for sums of independent [0,1] terms is still available
     u_grid = (np.arange(n_vocab) + 0.5) / n_vocab
     null_mean = float(np.sum(1.0 - np.abs(rs[:, None] - u_grid[None, :]).mean(axis=1)))
-    gap = score - null_mean
-    p_hoeffding = math.exp(-2.0 * gap * gap / t) if gap > 0 else 1.0
+    return _report("its", score, trace, SimulatedNull(samples, null_mean, len(trace)), fpr)
 
-    return DetectionReport(
-        strategy="its",
-        score=score,
-        steps_scored=t,
-        threshold=threshold,
-        p_hoeffding=p_hoeffding,
-        p_exact=p_mc,
-        verdict=score > threshold,
-        fpr=fpr,
-        trace=trace,
-        extra={"null_mean": null_mean},
-    )
+
+def detect_method(
+    config: ReweightConfig,
+    ngram_n: int,
+    tokens,
+    key: bytes,
+    map_: ClusterMap | None,
+    n_vocab: int,
+    fpr: float = 0.01,
+    null_sims: int = 10_000,
+    sim_seed: int = 0,
+) -> DetectionReport:
+    """The detector of ``config``'s strategy, from the strategy table.
+
+    ``map_`` is read only by cluster-context strategies; ``null_sims`` and
+    ``sim_seed`` only by the simulated null.
+    """
+    entry = STRATEGIES[config.strategy]
+    detector = globals()[entry.detector]  # looked up per call, see Strategy
+    return detector(tokens, key, fpr=fpr, **entry.detector_args(
+        config, ngram_n, map_, n_vocab, null_sims=null_sims, sim_seed=sim_seed))

@@ -17,23 +17,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import binom, chi2
+from scipy.stats import chi2
 
 from .clustering import ClusterMap, kmeans_fit, load_embeddings
 from .core import WatermarkCode, clear_prf_caches
-from .detect import (
-    _its_null_samples,
-    _its_score_trace,
-    detect_aligned,
-    detect_dipmark,
-    detect_kgw,
-    detect_unigram,
-    hoeffding_threshold,
-)
+from .detect import detect_method
 from .generate import GenerationSession, generate, generate_unwatermarked
 from .reweight import (
     ReweightConfig,
+    _dipmark_permuted,
     aligned_marginal,
     dipmark_reweight,
     its_marginal,
@@ -359,7 +351,7 @@ def _make_session(cfg: ExperimentConfig, method: MethodSpec, map_: ClusterMap,
         key=cfg.key,
         config=method.config,
         ngram_n=method.ngram_n,
-        cluster_map=map_ if method.config.strategy == "aligned_is" else None,
+        cluster_map=map_,
         rng_seed=gen_seed,
     )
 
@@ -371,80 +363,30 @@ def _detect_multi(
     map_: ClusterMap,
     sim_seed: int,
 ) -> dict:
-    """Score + per-fpr verdicts for one sequence under one method."""
-    strat = method.config.strategy
-    n_vocab = cfg.model.n_vocab
-    base_fpr = cfg.fpr_grid[0]
-    # Two guaranteed-threshold families per fpr: the exact binomial upper
-    # quantile (tight; the null score is binomial) and the Hoeffding closed
-    # form (looser, but h-independent margin; the form the single-sequence
-    # detectors report).  kgw/unigram use their customary normal
-    # approximation as the primary threshold; the position-score detector
-    # has no guaranteed threshold, so both columns carry its simulated one.
-    if strat == "aligned_is":
-        rep = detect_aligned(tokens, cfg.key, map_, method.ngram_n, base_fpr)
-        null_rate = 1.0 / map_.h
-    elif strat in ("dipmark", "gamma_reweight"):
-        alpha = method.config.alpha if strat == "dipmark" else 0.5
-        rep = detect_dipmark(tokens, cfg.key, n_vocab, alpha, method.ngram_n, base_fpr)
-        cut = math.ceil(alpha * n_vocab)
-        null_rate = (n_vocab - cut) / n_vocab
-    elif strat in ("kgw", "unigram"):
-        if strat == "kgw":
-            rep = detect_kgw(tokens, cfg.key, n_vocab, method.config.gamma,
-                             method.ngram_n, base_fpr)
-        else:
-            rep = detect_unigram(tokens, cfg.key, n_vocab, method.config.gamma,
-                                 base_fpr)
-        g, t = rep.score, rep.steps_scored
-        gam = method.config.gamma
-        sd = math.sqrt(gam * (1 - gam) * t)
-        return {
-            "score": g,
-            "steps": t,
-            "p": rep.p_exact,
-            "verdicts": {f: g > gam * t + ndtri(1 - f) * sd for f in cfg.fpr_grid},
-            "verdicts_hoeffding": {
-                f: g > hoeffding_threshold(t, gam, f) for f in cfg.fpr_grid
-            },
-        }
-    elif strat == "its":
-        score, trace, rs = _its_score_trace(tokens, cfg.key, n_vocab, method.ngram_n)
-        null = _its_null_samples(np.asarray(tokens, dtype=np.int64), method.ngram_n,
-                                 n_vocab, cfg.its_null_sims, sim_seed)
-        p_mc = (1.0 + float(np.sum(null >= score))) / (1.0 + cfg.its_null_sims)
-        verdicts = {
-            f: score > float(np.quantile(null, 1.0 - f)) for f in cfg.fpr_grid
-        }
-        return {
-            "score": score,
-            "steps": len(trace),
-            "p": p_mc,
-            "verdicts": verdicts,
-            "verdicts_hoeffding": dict(verdicts),
-        }
-    else:  # pragma: no cover
-        raise ValueError(f"unknown strategy {strat!r}")
-    t = rep.steps_scored
+    """Score + per-fpr verdicts for one sequence under one method.
+
+    Two threshold families per fpr, both from the report's null law: the
+    tight one (exact binomial quantile; the normal approximation for the
+    greenlist counters) and the Hoeffding closed form (looser, but an
+    h-independent margin; the form the binomial detectors report).  The
+    position-score detector has no guaranteed threshold, so both columns
+    carry its simulated one.
+    """
+    rep = detect_method(method.config, method.ngram_n, tokens, cfg.key, map_,
+                        cfg.model.n_vocab, cfg.fpr_grid[0], cfg.its_null_sims, sim_seed)
     return {
         "score": rep.score,
-        "steps": t,
+        "steps": rep.steps_scored,
         "p": rep.p_exact,
-        "verdicts": {
-            f: rep.score > binom.isf(f, t, null_rate) for f in cfg.fpr_grid
-        },
-        "verdicts_hoeffding": {
-            f: rep.score > hoeffding_threshold(t, null_rate, f)
-            for f in cfg.fpr_grid
-        },
+        "verdicts": {f: rep.score > rep.null.tight(f) for f in cfg.fpr_grid},
+        "verdicts_hoeffding": {f: rep.score > rep.null.hoeffding(f) for f in cfg.fpr_grid},
     }
 
 
-def _prepare_channel(cfg: ExperimentConfig, map_: ClusterMap, embeddings):
+def _channel_neighbors(cfg: ExperimentConfig, map_: ClusterMap, embeddings):
     if cfg.channel is None:
-        return None, None
-    neighbors = same_cluster_neighbors(map_, embeddings, cfg.channel.same_cluster_pool)
-    return cfg.channel, neighbors
+        return None
+    return same_cluster_neighbors(map_, embeddings, cfg.channel.same_cluster_pool)
 
 
 def _through_channel(tokens, cfg, map_, embeddings, neighbors, seed):
@@ -454,7 +396,11 @@ def _through_channel(tokens, cfg, map_, embeddings, neighbors, seed):
     return apply_channel(tokens, map_, embeddings, ch, neighbors)
 
 
-def _null_corpus(cfg: ExperimentConfig, model) -> list[np.ndarray]:
+def _null_corpus(cfg: ExperimentConfig, model, map_: ClusterMap,
+                 embeddings) -> list[np.ndarray]:
+    """Unwatermarked sequences after the channel, one per trial; every
+    method scores the same ones."""
+    neighbors = _channel_neighbors(cfg, map_, embeddings)
     out = []
     for trial in range(cfg.trials):
         prng = np.random.default_rng(_derive_seed(cfg.seed, _S_NULL, trial, 0))
@@ -462,7 +408,8 @@ def _null_corpus(cfg: ExperimentConfig, model) -> list[np.ndarray]:
         seq = generate_unwatermarked(
             model, prompt, cfg.seq_len, _derive_seed(cfg.seed, _S_NULL, trial, 1)
         )
-        out.append(np.asarray(seq, dtype=np.int64))
+        out.append(_through_channel(seq, cfg, map_, embeddings, neighbors,
+                                    _derive_seed(cfg.seed, _S_NULLCH, trial)))
     return out
 
 
@@ -479,7 +426,7 @@ def _detectability_chunk(args) -> list[tuple]:
     """Worker: [(mi, trial, wm_result, null_result)] for a trial range."""
     cfg, map_, embeddings, null_corpus, mi, trials = args
     model, _ = build_synthetic_model(cfg.model)
-    _, neighbors = _prepare_channel(cfg, map_, embeddings)
+    neighbors = _channel_neighbors(cfg, map_, embeddings)
     method = cfg.methods[mi]
     out = []
     for trial in trials:
@@ -488,19 +435,27 @@ def _detectability_chunk(args) -> list[tuple]:
                               _derive_seed(cfg.seed, _S_CHANNEL, mi, trial))
         wm_res = _detect_multi(method, wm, cfg, map_,
                                _derive_seed(cfg.seed, _S_ITS, mi, trial, 0))
-        null = _through_channel(null_corpus[trial], cfg, map_, embeddings,
-                                neighbors,
-                                _derive_seed(cfg.seed, _S_NULLCH, trial))
-        null_res = _detect_multi(method, null, cfg, map_,
+        null_res = _detect_multi(method, null_corpus[trial], cfg, map_,
                                  _derive_seed(cfg.seed, _S_ITS, mi, trial, 1))
         out.append((mi, trial, wm_res, null_res))
     return out
 
 
-def _chunked(items, n_chunks: int):
-    n_chunks = max(1, min(n_chunks, len(items)))
-    size = math.ceil(len(items) / n_chunks)
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _trial_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
+    """The trial range cut into one contiguous chunk per worker."""
+    n_chunks = max(1, min(threads, cfg.trials))
+    size = math.ceil(cfg.trials / n_chunks)
+    return [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
+
+
+def _run_trials(fn, tasks: list, threads: int) -> list:
+    """``fn`` over every task, in order; in ``threads`` worker processes
+    when threads > 1.  Every task derives its randomness from the config
+    and its trial indices, so the worker count never changes a result."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def _wm_metrics(cfg: ExperimentConfig, results: list[dict]) -> dict:
@@ -519,49 +474,29 @@ def _wm_metrics(cfg: ExperimentConfig, results: list[dict]) -> dict:
     }
 
 
-def _rows_from_results(cfg: ExperimentConfig, results_by_method: dict) -> list[dict]:
-    rows = []
-    for mi, method in enumerate(cfg.methods):
-        wm_results = [r for _, r, _ in results_by_method[mi]]
-        null_results = [r for _, _, r in results_by_method[mi]]
-        row = {
-            "method": method.label,
-            "params": {**_strategy_params(method.config), "ngram_n": method.ngram_n},
-            **_wm_metrics(cfg, wm_results),
-            "fpr_measured": {
-                str(f): float(np.mean([r["verdicts"][f] for r in null_results]))
-                for f in cfg.fpr_grid
-            },
-        }
-        rows.append(row)
-    return rows
-
-
 def run_detectability(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     """TPR at guaranteed FPRs plus median p-value per configured method,
     with watermarked and null corpora pushed through the channel."""
     model, embeddings, map_ = fit_environment(cfg)
-    null_corpus = _null_corpus(cfg, model)
-    tasks = []
-    for mi in range(len(cfg.methods)):
-        for trials in _chunked(list(range(cfg.trials)), max(1, threads)):
-            tasks.append((cfg, map_, embeddings, null_corpus, mi, trials))
-
-    results_by_method: dict[int, list] = {mi: [] for mi in range(len(cfg.methods))}
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_detectability_chunk, tasks):
-                for mi, trial, wm_res, null_res in chunk:
-                    results_by_method[mi].append((trial, wm_res, null_res))
-    else:
-        for task in tasks:
-            for mi, trial, wm_res, null_res in _detectability_chunk(task):
-                results_by_method[mi].append((trial, wm_res, null_res))
-    for mi in results_by_method:
-        results_by_method[mi].sort(key=lambda x: x[0])
+    null_corpus = _null_corpus(cfg, model, map_, embeddings)
+    tasks = [(cfg, map_, embeddings, null_corpus, mi, trials)
+             for mi in range(len(cfg.methods)) for trials in _trial_chunks(cfg, threads)]
+    by_method: dict[int, list] = {mi: [] for mi in range(len(cfg.methods))}
+    for chunk in _run_trials(_detectability_chunk, tasks, threads):
+        for mi, _, wm_res, null_res in chunk:
+            by_method[mi].append((wm_res, null_res))
 
     table = ResultTable("run-detectability", cfg.to_dict())
-    table.rows = _rows_from_results(cfg, results_by_method)
+    for mi, method in enumerate(cfg.methods):
+        table.rows.append({
+            "method": method.label,
+            "params": {**_strategy_params(method.config), "ngram_n": method.ngram_n},
+            **_wm_metrics(cfg, [wm for wm, _ in by_method[mi]]),
+            "fpr_measured": {
+                str(f): float(np.mean([null["verdicts"][f] for _, null in by_method[mi]]))
+                for f in cfg.fpr_grid
+            },
+        })
     return table
 
 
@@ -583,7 +518,7 @@ def _apply_attack(tokens, attack: str, param, cfg: ExperimentConfig, seed: int):
 def _robustness_chunk(args) -> list[tuple]:
     cfg, map_, embeddings, mi, attacks, trials = args
     model, _ = build_synthetic_model(cfg.model)
-    _, neighbors = _prepare_channel(cfg, map_, embeddings)
+    neighbors = _channel_neighbors(cfg, map_, embeddings)
     method = cfg.methods[mi]
     out = []
     for trial in trials:
@@ -615,25 +550,15 @@ def run_robustness(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     """
     model, embeddings, map_ = fit_environment(cfg)
     attacks = attack_grid(cfg)
-    tasks = []
-    for mi in range(len(cfg.methods)):
-        for trials in _chunked(list(range(cfg.trials)), max(1, threads)):
-            tasks.append((cfg, map_, embeddings, mi, attacks, trials))
-
+    tasks = [(cfg, map_, embeddings, mi, attacks, trials)
+             for mi in range(len(cfg.methods)) for trials in _trial_chunks(cfg, threads)]
     cells: dict[tuple[int, int], list] = {}
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_robustness_chunk, tasks))
-    else:
-        chunks = [_robustness_chunk(t) for t in tasks]
-    for chunk in chunks:
-        for mi, ai, trial, res in chunk:
-            cells.setdefault((mi, ai), []).append((trial, res))
+    for chunk in _run_trials(_robustness_chunk, tasks, threads):
+        for mi, ai, _, res in chunk:
+            cells.setdefault((mi, ai), []).append(res)
 
     table = ResultTable("run-robustness", cfg.to_dict())
-    for (mi, ai), entries in sorted(cells.items()):
-        entries.sort(key=lambda x: x[0])
-        results = [r for _, r in entries]
+    for (mi, ai), results in sorted(cells.items()):
         attack, param = attacks[ai]
         method = cfg.methods[mi]
         table.rows.append({
@@ -650,18 +575,11 @@ def _ablation_chunk(args) -> list[tuple]:
     cfg, ref_map, embeddings, hi, h_map, trials = args
     model, _ = build_synthetic_model(cfg.model)
     # channel geometry stays fixed (reference map); watermark uses h_map
-    _, neighbors = _prepare_channel(cfg, ref_map, embeddings)
+    neighbors = _channel_neighbors(cfg, ref_map, embeddings)
     method = MethodSpec(ReweightConfig("aligned_is", h=h_map.h), ngram_n=3)
     out = []
     for trial in trials:
-        prng = np.random.default_rng(_derive_seed(cfg.seed, _S_PROMPT, hi, trial))
-        prompt = prng.integers(0, cfg.model.n_vocab, cfg.prompt_len)
-        session = GenerationSession(
-            key=cfg.key, config=method.config, ngram_n=method.ngram_n,
-            cluster_map=h_map,
-            rng_seed=_derive_seed(cfg.seed, _S_GEN, hi, trial),
-        )
-        seq = generate(model, prompt, cfg.seq_len, session)
+        seq = _generate_watermarked(cfg, model, h_map, method, hi, trial)
         seq = _through_channel(seq, cfg, ref_map, embeddings, neighbors,
                                _derive_seed(cfg.seed, _S_CHANNEL, hi, trial))
         res = _detect_multi(method, seq, cfg, h_map,
@@ -687,25 +605,16 @@ def run_ablation_h(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
                                      max_iters=cfg.cluster_max_iters,
                                      tol=cfg.cluster_tol))
 
-    tasks = []
-    for hi, h_map in enumerate(h_maps):
-        for trials in _chunked(list(range(cfg.trials)), max(1, threads)):
-            tasks.append((cfg, ref_map, embeddings, hi, h_map, trials))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_ablation_chunk, tasks))
-    else:
-        chunks = [_ablation_chunk(t) for t in tasks]
-
+    tasks = [(cfg, ref_map, embeddings, hi, h_map, trials)
+             for hi, h_map in enumerate(h_maps) for trials in _trial_chunks(cfg, threads)]
     by_h: dict[int, list] = {hi: [] for hi in range(len(h_maps))}
-    for chunk in chunks:
-        for hi, trial, res in chunk:
-            by_h[hi].append((trial, res))
+    for chunk in _run_trials(_ablation_chunk, tasks, threads):
+        for hi, _, res in chunk:
+            by_h[hi].append(res)
 
     table = ResultTable("ablate-h", cfg.to_dict())
     for hi, h in enumerate(cfg.h_grid):
-        entries = sorted(by_h[hi], key=lambda x: x[0])
-        results = [r for _, r in entries]
+        results = by_h[hi]
         table.rows.append({
             "method": f"aligned_is(h={h})",
             "params": {"strategy": "aligned_is", "h": h, "ngram_n": 3},
@@ -773,15 +682,8 @@ def run_distortion_audit(cfg: ExperimentConfig) -> dict:
     dist3 = rng.dirichlet(np.ones(3))
     outs = []
     for perm in _perms(range(3)):
-        p = dist3[list(perm)]
-        cdf = np.cumsum(p)
-        lo = np.maximum(cdf - 0.4, 0)
-        hi = np.maximum(cdf - 0.6, 0)
-        new = np.empty(3)
-        new[0] = lo[0] + hi[0]
-        new[1:] = np.diff(lo) + np.diff(hi)
         out = np.empty(3)
-        out[list(perm)] = new
+        out[list(perm)] = _dipmark_permuted(dist3[list(perm)], 0.4)
         outs.append(out)
     dipmark_exact_tv = _tv(np.mean(outs, axis=0), dist3)
 

@@ -7,10 +7,11 @@ enough context, samples from the model's original distribution; otherwise
 the step is watermarked and the code is recorded so no code ever biases
 sampling twice.
 
-Context convention: the cluster-aligned strategy builds its code from the
-*cluster indices* of the context tokens, which is what makes detection
-invariant to same-cluster substitutions anywhere in the sequence.  The
-baseline strategies hash raw token ids, matching their original forms.
+Each strategy's entry in ``reweight.STRATEGIES`` fixes its context
+convention and its watermark step.  The cluster-aligned strategy builds its
+code from the *cluster indices* of the context tokens, which is what makes
+detection invariant to same-cluster substitutions anywhere in the sequence.
+The baseline strategies hash raw token ids, matching their original forms.
 """
 
 from __future__ import annotations
@@ -21,17 +22,8 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .clustering import ClusterMap
-from .core import CodeHistory, WatermarkCode, code_fingerprint, prf_r
-from .reweight import (
-    ReweightConfig,
-    aligned_sample,
-    build_segment_table,
-    cluster_probs,
-    dipmark_reweight,
-    its_sample,
-    kgw_reweight,
-    unigram_reweight,
-)
+from .core import WatermarkCode, code_fingerprint
+from .reweight import STRATEGIES, ReweightConfig, _sample_plain
 
 __all__ = [
     "LanguageModel",
@@ -59,10 +51,11 @@ class LanguageModel(Protocol):
 class GenerationSession:
     """One watermarked generation run: key, strategy, and code history.
 
-    The history starts empty per session; pass ``history`` explicitly to
-    share spent codes across sequences.  ``dedup=False`` disables the
-    history check (repeated codes then re-bias sampling; only useful for
-    diagnostics).
+    The history (a set of code fingerprints) starts empty per session; pass
+    ``history`` explicitly to share spent codes across sequences.
+    ``dedup=False`` disables the history check (repeated codes then re-bias
+    sampling; only useful for diagnostics).  ``cluster_map`` is read only
+    by cluster-context strategies.
     """
 
     key: bytes
@@ -71,7 +64,7 @@ class GenerationSession:
     cluster_map: ClusterMap | None = None
     rng_seed: int = 0
     dedup: bool = True
-    history: CodeHistory = field(default_factory=CodeHistory)
+    history: set[int] = field(default_factory=set)
     watermarked_mask: list[bool] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -79,9 +72,9 @@ class GenerationSession:
             raise ValueError("watermark key must be non-empty")
         if self.ngram_n < 1:
             raise ValueError("ngram_n must be >= 1")
-        if self.config.strategy == "aligned_is":
+        if STRATEGIES[self.config.strategy].context == "cluster":
             if self.cluster_map is None:
-                raise ValueError("aligned_is requires a cluster map")
+                raise ValueError(f"{self.config.strategy} requires a cluster map")
             if self.cluster_map.h != self.config.h:
                 raise ValueError(
                     f"config h={self.config.h} != cluster map h={self.cluster_map.h}"
@@ -97,22 +90,15 @@ def make_code(
 ) -> WatermarkCode | None:
     """Watermark code for a step, or None if the context is too short.
 
-    aligned_is codes are built from context cluster indices; every other
-    strategy hashes the raw token ids.
+    The strategy's context convention decides what is hashed: the cluster
+    indices of the context tokens, or their raw ids.
     """
     if len(context_tokens) < ngram_n:
         return None
     gram = tuple(int(t) for t in context_tokens[-ngram_n:])
-    if strategy == "aligned_is":
+    if STRATEGIES[strategy].context == "cluster":
         gram = tuple(int(cluster_map.assignment[t]) for t in gram)
     return WatermarkCode(key=key, context=gram, ngram_n=ngram_n)
-
-
-def _sample_plain(dist: np.ndarray, rng: np.random.Generator) -> int:
-    # inverse-CDF draw; cheaper than rng.choice for per-step calls
-    cdf = np.cumsum(dist)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return min(idx, dist.shape[0] - 1)
 
 
 def generate(
@@ -125,7 +111,7 @@ def generate(
     fresh.  Returns only the generated tokens (prompt excluded)."""
     if length < 1:
         raise ValueError("generation length must be >= 1")
-    cfg = session.config
+    strategy = STRATEGIES[session.config.strategy]
     rng = np.random.default_rng(session.rng_seed)
     context = [int(t) for t in prompt]
     out: list[int] = []
@@ -133,51 +119,20 @@ def generate(
 
     for _ in range(length):
         dist = np.asarray(model.next_dist(tuple(context)), dtype=np.float64)
-
-        if cfg.strategy == "unigram":
-            # global greenlist: context-free and intentionally biased, so the
-            # history rule does not apply
-            pw = unigram_reweight(dist, session.key, cfg.delta, cfg.gamma)
-            token = _sample_plain(pw, rng)
-            session.watermarked_mask.append(True)
-            context.append(token)
-            out.append(token)
-            continue
-
-        code = make_code(
-            session.key, context, session.ngram_n, cfg.strategy, session.cluster_map
-        )
-        fingerprint = code_fingerprint(code) if code is not None else None
-        spent = (
-            code is None
-            or (session.dedup and fingerprint in session.history)
-        )
-        if spent:
-            token = _sample_plain(dist, rng)
-            session.watermarked_mask.append(False)
+        if strategy.context is None:
+            # a key-only code is context-free and intentionally reused, so
+            # the history rule does not apply
+            code, fresh = None, True
         else:
-            if session.dedup:
+            code = make_code(session.key, context, session.ngram_n,
+                             session.config.strategy, session.cluster_map)
+            fingerprint = code_fingerprint(code) if code is not None else None
+            fresh = code is not None and not (
+                session.dedup and fingerprint in session.history)
+            if fresh and session.dedup:
                 session.history.add(fingerprint)
-            if cfg.strategy == "aligned_is":
-                probs = cluster_probs(dist, session.cluster_map)
-                table = build_segment_table(probs / probs.sum())
-                token = aligned_sample(
-                    table, dist, session.cluster_map, prf_r(code), rng
-                )
-            elif cfg.strategy == "its":
-                token = its_sample(dist, code)
-            elif cfg.strategy == "kgw":
-                pw = kgw_reweight(dist, code, cfg.delta, cfg.gamma)
-                token = _sample_plain(pw, rng)
-            elif cfg.strategy == "dipmark":
-                pw = dipmark_reweight(dist, code, cfg.alpha)
-                token = _sample_plain(pw, rng)
-            elif cfg.strategy == "gamma_reweight":
-                pw = dipmark_reweight(dist, code, 0.5)
-                token = _sample_plain(pw, rng)
-            else:  # pragma: no cover - ReweightConfig rejects unknown names
-                raise ValueError(f"unknown strategy {cfg.strategy!r}")
-            session.watermarked_mask.append(True)
+        token = strategy.step(dist, code, session, rng) if fresh else _sample_plain(dist, rng)
+        session.watermarked_mask.append(fresh)
         context.append(token)
         out.append(token)
     return out

@@ -1,6 +1,7 @@
 """Reweight strategies: cluster-aligned inverse sampling plus the standard
 comparison watermarks (KGW, Unigram, DiPmark / gamma-reweight, and a
-position-score inverse-transform sampler).
+position-score inverse-transform sampler), and the strategy table that
+tells generation, detection and the harness how the strategies differ.
 
 Aligned inverse sampling tiles [0, 1) so that cluster i owns the start of
 the fixed bin [(i-1)/h, i/h); mass a cluster holds beyond 1/h fills other
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .core import (
 
 __all__ = [
     "STRATEGIES",
+    "Strategy",
     "ReweightConfig",
     "SegmentTable",
     "cluster_probs",
@@ -36,13 +39,10 @@ __all__ = [
     "kgw_reweight",
     "unigram_reweight",
     "dipmark_reweight",
-    "gamma_reweight",
     "its_sample",
     "its_score",
     "its_marginal",
 ]
-
-STRATEGIES = ("aligned_is", "its", "kgw", "unigram", "dipmark", "gamma_reweight")
 
 
 @dataclass(frozen=True)
@@ -62,40 +62,29 @@ class ReweightConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "aligned_is":
-            if self.h is None or self.h < 1:
-                raise ValueError("aligned_is requires cluster count h >= 1")
-        elif self.strategy in ("kgw", "unigram"):
-            if self.delta is None or self.delta < 0:
-                raise ValueError(f"{self.strategy} requires delta >= 0")
-            if self.gamma is None or not 0 < self.gamma < 1:
-                raise ValueError(f"{self.strategy} requires gamma in (0, 1)")
-        elif self.strategy == "dipmark":
-            if self.alpha is None or not 0 <= self.alpha <= 0.5:
-                raise ValueError("dipmark requires alpha in [0, 0.5]")
-        for name in ("h", "delta", "gamma", "alpha"):
-            if getattr(self, name) is not None and name not in _PARAMS[self.strategy]:
+        used = STRATEGIES[self.strategy].params
+        for name, (valid, requirement) in _PARAM_RULES.items():
+            value = getattr(self, name)
+            if name in used and (value is None or not valid(value)):
+                raise ValueError(f"{self.strategy} requires {requirement}")
+            if name not in used and value is not None:
                 raise ValueError(
                     f"parameter {name!r} is not used by strategy {self.strategy!r}"
                 )
 
     def label(self) -> str:
-        if self.strategy == "aligned_is":
-            return f"aligned_is(h={self.h})"
-        if self.strategy in ("kgw", "unigram"):
-            return f"{self.strategy}(delta={self.delta},gamma={self.gamma})"
-        if self.strategy == "dipmark":
-            return f"dipmark(alpha={self.alpha})"
-        return self.strategy
+        params = STRATEGIES[self.strategy].params
+        if not params:
+            return self.strategy
+        return f"{self.strategy}({','.join(f'{p}={getattr(self, p)}' for p in params)})"
 
 
-_PARAMS = {
-    "aligned_is": ("h",),
-    "its": (),
-    "kgw": ("delta", "gamma"),
-    "unigram": ("delta", "gamma"),
-    "dipmark": ("alpha",),
-    "gamma_reweight": (),
+# parameter -> (validity test, requirement named in the error)
+_PARAM_RULES = {
+    "h": (lambda v: v >= 1, "cluster count h >= 1"),
+    "delta": (lambda v: v >= 0, "delta >= 0"),
+    "gamma": (lambda v: 0 < v < 1, "gamma in (0, 1)"),
+    "alpha": (lambda v: 0 <= v <= 0.5, "alpha in [0, 0.5]"),
 }
 
 
@@ -312,11 +301,6 @@ def dipmark_reweight(dist: np.ndarray, code: WatermarkCode, alpha: float) -> np.
     return out
 
 
-def gamma_reweight(dist: np.ndarray, code: WatermarkCode) -> np.ndarray:
-    """DiPmark at alpha = 0.5."""
-    return dipmark_reweight(dist, code, 0.5)
-
-
 def its_sample(dist: np.ndarray, code: WatermarkCode) -> int:
     """Inverse-transform draw over the keyed permutation at quantile
     r = prf_r(code); fully deterministic given the code."""
@@ -353,3 +337,87 @@ def its_marginal(dist: np.ndarray, code: WatermarkCode) -> np.ndarray:
     out = np.empty_like(dist)
     out[perm] = widths
     return out
+
+
+def _sample_plain(dist: np.ndarray, rng: np.random.Generator) -> int:
+    # inverse-CDF draw; cheaper than rng.choice for per-step calls
+    cdf = np.cumsum(dist)
+    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(idx, dist.shape[0] - 1)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """Everything that differs between watermark strategies.
+
+    ``params`` are the :class:`ReweightConfig` fields the strategy uses.
+    ``context`` is what a step's watermark code hashes (``make_code``):
+    the "cluster" indices of the preceding n-gram, its raw "token" ids, or
+    nothing (None) for a key-only code, which watermarks every step and
+    keeps no code history.  ``step(dist, code, session, rng)`` draws one
+    watermarked token.  ``detector`` names the function in
+    :mod:`clustermark.detect` that sums the strategy's per-step score and
+    judges the sum against its null law; ``detector_args(config, ngram_n,
+    map_, n_vocab, null_sims=, sim_seed=)`` gives that function's
+    parameters.  Steps and detectors call functions by their module-global
+    names at call time, so wrappers installed on module attributes (as a
+    tracer does) see every call.
+    """
+
+    params: tuple[str, ...]
+    context: str | None
+    step: Callable[..., int]
+    detector: str
+    detector_args: Callable[..., dict]
+
+
+def _aligned_step(dist, code, session, rng) -> int:
+    probs = cluster_probs(dist, session.cluster_map)
+    table = build_segment_table(probs / probs.sum())
+    return aligned_sample(table, dist, session.cluster_map, prf_r(code), rng)
+
+
+def _dipmark(params: tuple[str, ...], alpha: Callable[[ReweightConfig], float]) -> Strategy:
+    """DiPmark entry whose alpha is ``alpha(config)``."""
+    return Strategy(
+        params, "token",
+        lambda dist, code, session, rng: _sample_plain(
+            dipmark_reweight(dist, code, alpha(session.config)), rng),
+        "detect_dipmark",
+        lambda config, ngram_n, map_, n_vocab, **_: dict(
+            n_vocab=n_vocab, alpha_detect=alpha(config), ngram_n=ngram_n),
+    )
+
+
+STRATEGIES: dict[str, Strategy] = {
+    "aligned_is": Strategy(
+        ("h",), "cluster", _aligned_step,
+        "detect_aligned",
+        lambda config, ngram_n, map_, n_vocab, **_: dict(map_=map_, ngram_n=ngram_n),
+    ),
+    "its": Strategy(
+        (), "token",
+        lambda dist, code, session, rng: its_sample(dist, code),
+        "detect_its",
+        lambda config, ngram_n, map_, n_vocab, **sims: dict(
+            n_vocab=n_vocab, ngram_n=ngram_n, **sims),
+    ),
+    "kgw": Strategy(
+        ("delta", "gamma"), "token",
+        lambda dist, code, session, rng: _sample_plain(kgw_reweight(
+            dist, code, session.config.delta, session.config.gamma), rng),
+        "detect_kgw",
+        lambda config, ngram_n, map_, n_vocab, **_: dict(
+            n_vocab=n_vocab, gamma=config.gamma, ngram_n=ngram_n),
+    ),
+    "unigram": Strategy(
+        ("delta", "gamma"), None,
+        lambda dist, code, session, rng: _sample_plain(unigram_reweight(
+            dist, session.key, session.config.delta, session.config.gamma), rng),
+        "detect_unigram",
+        lambda config, ngram_n, map_, n_vocab, **_: dict(n_vocab=n_vocab, gamma=config.gamma),
+    ),
+    "dipmark": _dipmark(("alpha",), lambda config: config.alpha),
+    # gamma-reweight (arXiv:2310.10669) is DiPmark (arXiv:2310.07710) at alpha 0.5
+    "gamma_reweight": _dipmark((), lambda config: 0.5),
+}

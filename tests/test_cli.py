@@ -90,6 +90,13 @@ class TestGenerateDetect:
         assert main(["generate", "--config", str(tiny_config_path),
                      "--out", str(tmp_path), "--key", ""]) == 2
 
+    def test_out_of_vocab_token_is_usage_error(self, tiny_config_path, tmp_path, capsys):
+        toks = tmp_path / "bad.txt"
+        toks.write_text("1\n2\n3\n700\n5\n")
+        assert main(["detect", "--config", str(tiny_config_path),
+                     "--tokens", str(toks)]) == 2
+        assert "outside the vocabulary" in capsys.readouterr().err
+
     def test_missing_tokens_file_is_io_error(self, tiny_config_path, tmp_path):
         assert main(["detect", "--config", str(tiny_config_path),
                      "--tokens", str(tmp_path / "nope.txt")]) == 3

@@ -7,7 +7,6 @@ from clustermark.clustering import (
     ClusterMap,
     ClusterMapFormatError,
     _lloyd_iterations,
-    assign,
     inertia,
     kmeans_fit,
     load_cluster_map,
@@ -91,50 +90,6 @@ class TestKmeansFit:
         for c in range(12):
             members = m.cluster_members[c]
             assert len(set(model.component_labels[members])) == 1
-
-    def test_relabel_separated_is_same_partition(self, rng):
-        emb = rng.normal(size=(100, 4))
-        base = kmeans_fit(emb, 6, seed=9)
-        rel = kmeans_fit(emb, 6, seed=9, relabel_separated=True)
-        # same partition, possibly different labels
-        for c in range(6):
-            members = frozenset(rel.cluster_members[c].tolist())
-            assert any(
-                members == frozenset(other.tolist())
-                for other in base.cluster_members
-            )
-
-
-class TestAssign:
-    def test_centroid_maps_to_itself(self, rng):
-        emb = rng.normal(size=(60, 3))
-        m = kmeans_fit(emb, 4, seed=2)
-        for c in range(4):
-            assert assign(m.centroids[c], m) == c
-
-    def test_tie_breaks_to_lowest_index(self):
-        centroids = np.zeros((6, 2))
-        centroids[2] = (1.0, 0.0)
-        centroids[5] = (-1.0, 0.0)
-        centroids[0] = (0.0, 50.0)
-        centroids[1] = (0.0, 60.0)
-        centroids[3] = (0.0, 70.0)
-        centroids[4] = (0.0, 80.0)
-        m = ClusterMap(h=6, assignment=np.arange(6), centroids=centroids)
-        assert assign(np.array([0.0, 0.0]), m) == 2
-
-    def test_matches_brute_force(self, rng):
-        emb = rng.normal(size=(50, 4))
-        m = kmeans_fit(emb, 5, seed=7)
-        for _ in range(20):
-            p = rng.normal(size=4)
-            brute = int(np.argmin([((p - c) ** 2).sum() for c in m.centroids]))
-            assert assign(p, m) == brute
-
-    def test_dimension_mismatch(self, rng):
-        m = kmeans_fit(rng.normal(size=(20, 3)), 2, seed=0)
-        with pytest.raises(ValueError, match="dimension"):
-            assign(np.zeros(4), m)
 
 
 class TestMismatchRates:

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from clustermark.core import (
-    CodeHistory,
     WatermarkCode,
     code_fingerprint,
     prf_permutation,
     prf_r,
-    prob_vector,
+    validate_prob_vector,
 )
 
 KEY = b"secret"
@@ -107,34 +106,14 @@ class TestPrfPermutation:
         assert not np.array_equal(a, b)
 
 
-class TestCodeHistory:
-    def test_membership_and_idempotence(self):
-        hist = CodeHistory()
-        fp = code_fingerprint(code())
-        assert fp not in hist
-        hist.add(fp)
-        hist.add(fp)
-        assert fp in hist
-        assert len(hist) == 1
-
-
-class TestProbVector:
-    def test_accepts_valid(self):
-        p = prob_vector([0.25, 0.75])
-        assert p.dtype == np.float64
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            prob_vector([1.1, -0.1])
-
-    def test_rejects_unnormalized_without_flag(self):
-        with pytest.raises(ValueError, match="sums to"):
-            prob_vector([0.5, 0.6])
-
-    def test_explicit_renormalization(self):
-        p = prob_vector([1.0, 3.0], renormalize=True)
-        assert np.allclose(p, [0.25, 0.75])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            prob_vector([np.nan, 1.0])
+class TestValidateProbVector:
+    @pytest.mark.parametrize("values, message", [
+        ([1.1, -0.1], "negative"),
+        ([0.5, 0.6], "sums to"),
+        ([np.nan, 1.0], "finite"),
+        ([], "non-empty 1-d"),
+        ([[0.5, 0.5]], "non-empty 1-d"),
+    ])
+    def test_rejects_malformed(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            validate_prob_vector(np.asarray(values, dtype=np.float64))

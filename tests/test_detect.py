@@ -284,6 +284,21 @@ class TestDetectIts:
         assert rep.p_exact >= 1.0 / 501
 
 
+class TestTokenValidation:
+    @pytest.mark.parametrize("bad", [-3, 80])
+    @pytest.mark.parametrize("detect", [
+        lambda toks: detect_aligned(toks, KEY, balanced_cluster_map(80, 8), 1),
+        lambda toks: detect_kgw(toks, KEY, 80),
+        lambda toks: detect_unigram(toks, KEY, 80),
+        lambda toks: detect_dipmark(toks, KEY, 80),
+        lambda toks: detect_its(toks, KEY, 80, null_sims=10),
+    ], ids=["aligned", "kgw", "unigram", "dipmark", "its"])
+    def test_rejects_ids_outside_vocabulary(self, detect, bad):
+        # numpy indexing would wrap a negative id onto a real token
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            detect([1, 2, 3, bad, 5, 6])
+
+
 class TestModelAgnosticism:
     def test_detectors_take_no_model(self):
         import inspect

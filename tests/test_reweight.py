@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustermark.core import WatermarkCode, _prf_permutation_raw, prf_r
+from clustermark.detect import detect_method
+from clustermark.generate import GenerationSession, generate
 from clustermark.reweight import (
     ReweightConfig,
     aligned_marginal,
@@ -15,7 +17,6 @@ from clustermark.reweight import (
     build_segment_table,
     cluster_probs,
     dipmark_reweight,
-    gamma_reweight,
     its_marginal,
     its_sample,
     its_score,
@@ -23,7 +24,7 @@ from clustermark.reweight import (
     unigram_reweight,
 )
 
-from conftest import balanced_cluster_map, random_cluster_map
+from conftest import ConstantModel, balanced_cluster_map, random_cluster_map
 
 KEY = b"reweight-tests"
 
@@ -313,10 +314,16 @@ class TestDipmark:
         assert np.all(out >= 0) and abs(out.sum() - 1.0) < 1e-9
 
     def test_gamma_reweight_is_alpha_half(self, rng):
-        dist = rng.dirichlet(np.ones(16))
-        assert np.array_equal(
-            gamma_reweight(dist, code()), dipmark_reweight(dist, code(), 0.5)
-        )
+        # gamma_reweight is the strategy table's alias of dipmark at 0.5
+        model = ConstantModel(rng.dirichlet(np.ones(16)))
+        gamma_cfg = ReweightConfig("gamma_reweight")
+        dipmark_cfg = ReweightConfig("dipmark", alpha=0.5)
+        tokens = [generate(model, [3], 40, GenerationSession(KEY, cfg, rng_seed=1))
+                  for cfg in (gamma_cfg, dipmark_cfg)]
+        assert tokens[0] == tokens[1]
+        reports = [detect_method(cfg, 1, tokens[0], KEY, None, 16)
+                   for cfg in (gamma_cfg, dipmark_cfg)]
+        assert reports[0].to_json_dict() == reports[1].to_json_dict()
 
 
 class TestIts:
