@@ -106,14 +106,27 @@ class TestPrfPermutation:
         assert not np.array_equal(a, b)
 
 
-class TestValidateProbVector:
-    @pytest.mark.parametrize("values, message", [
-        ([1.1, -0.1], "negative"),
-        ([0.5, 0.6], "sums to"),
-        ([np.nan, 1.0], "finite"),
-        ([], "non-empty 1-d"),
-        ([[0.5, 0.5]], "non-empty 1-d"),
-    ])
-    def test_rejects_malformed(self, values, message):
-        with pytest.raises(ValueError, match=message):
-            validate_prob_vector(np.asarray(values, dtype=np.float64))
+def _validate(values):
+    validate_prob_vector(np.asarray(values, dtype=np.float64))
+
+
+class TestProbVector:
+    def test_accepts_valid(self):
+        _validate([0.25, 0.75])
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="negative"):
+            _validate([1.1, -0.1])
+
+    def test_rejects_unnormalized_without_flag(self):
+        with pytest.raises(ValueError, match="sums to"):
+            _validate([0.5, 0.6])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            _validate([np.nan, 1.0])
+
+    @pytest.mark.parametrize("values", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
+    def test_rejects_malformed(self, values):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            _validate(values)

@@ -108,9 +108,15 @@ class TestDetectability:
             assert set(row["tpr_at_fpr"]) == {"0.01", "0.001"}
             assert 0.0 <= row["median_p"] <= 1.0
 
-    @pytest.mark.parametrize("run", [run_detectability, run_robustness, run_ablation_h],
-                             ids=["detectability", "robustness", "ablation_h"])
-    def test_threads_match_serial(self, run):
+    def test_threads_match_serial(self):
+        cfg = tiny_config()
+        serial = run_detectability(cfg, threads=1)
+        parallel = run_detectability(cfg, threads=2)
+        assert serial.to_json_dict() == parallel.to_json_dict()
+
+    @pytest.mark.parametrize("run", [run_robustness, run_ablation_h],
+                             ids=["robustness", "ablation_h"])
+    def test_other_sweeps_threads_match_serial(self, run):
         cfg = tiny_config()
         serial = run(cfg, threads=1)
         parallel = run(cfg, threads=2)
