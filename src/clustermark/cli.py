@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,10 @@ from .clustering import (
 )
 from .detect import detect_method
 from .experiments import (
-    _S_GEN,
-    _S_PROMPT,
     ExperimentConfig,
     MethodSpec,
     ResultTable,
-    _derive_seed,
-    _make_session,
+    _generate_watermarked,
     fit_environment,
     read_tokens,
     run_ablation_h,
@@ -40,13 +38,19 @@ from .experiments import (
     run_robustness,
     write_tokens,
 )
-from .generate import generate
 from .reweight import STRATEGIES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+
+# sweep subcommand -> (run function, output stem, help)
+_SWEEPS = {
+    "run-detectability": (run_detectability, "detectability", "TPR/FPR sweep over methods"),
+    "run-robustness": (run_robustness, "robustness", "attack-grid sweep over methods"),
+    "ablate-h": (run_ablation_h, "ablation_h", "cluster-count ablation"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,12 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("audit-distortion", parents=[common],
                    help="verify distortion-freeness")
-    sub.add_parser("run-detectability", parents=[common],
-                   help="TPR/FPR sweep over methods")
-    sub.add_parser("run-robustness", parents=[common],
-                   help="attack-grid sweep over methods")
-    sub.add_parser("ablate-h", parents=[common],
-                   help="cluster-count ablation")
+    for command, (_, _, help_text) in _SWEEPS.items():
+        sub.add_parser(command, parents=[common], help=help_text)
     return parser
 
 
@@ -105,8 +105,6 @@ def _load_config(args) -> ExperimentConfig:
     else:
         cfg = ExperimentConfig()
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     # config-level output dir applies when --out stays at its default
     if cfg.output and args.out == "out":
@@ -126,8 +124,6 @@ def _write_table(table: ResultTable, out_dir: Path, stem: str, fmt: str) -> None
 
 def _primary_method(cfg: ExperimentConfig, key_flag: str | None) -> tuple[ExperimentConfig, MethodSpec]:
     if key_flag is not None:
-        from dataclasses import replace
-
         if not key_flag:
             raise ValueError("--key must be non-empty")
         cfg = replace(cfg, key=key_flag.encode("utf-8"))
@@ -151,10 +147,7 @@ def _cmd_generate(args, cfg: ExperimentConfig) -> int:
     cfg, method = _primary_method(cfg, args.key)
     length = args.length or cfg.seq_len
     model, _, map_ = fit_environment(cfg)
-    rng = np.random.default_rng(_derive_seed(cfg.seed, _S_PROMPT, 0, 0))
-    prompt = rng.integers(0, cfg.model.n_vocab, cfg.prompt_len)
-    session = _make_session(cfg, method, map_, _derive_seed(cfg.seed, _S_GEN, 0, 0))
-    tokens = generate(model, prompt, length, session)
+    tokens = _generate_watermarked(cfg, model, map_, method, 0, 0, length)
     out_path = Path(args.tokens_out) if args.tokens_out else Path(args.out) / "tokens.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_tokens(tokens, out_path)
@@ -200,17 +193,9 @@ def main(argv=None) -> int:
             return _cmd_detect(args, cfg)
         if args.command == "audit-distortion":
             return _cmd_audit(args, cfg)
-        if args.command == "run-detectability":
-            table = run_detectability(cfg, threads=args.threads)
-            _write_table(table, Path(args.out), "detectability", args.format)
-            return EXIT_OK
-        if args.command == "run-robustness":
-            table = run_robustness(cfg, threads=args.threads)
-            _write_table(table, Path(args.out), "robustness", args.format)
-            return EXIT_OK
-        if args.command == "ablate-h":
-            table = run_ablation_h(cfg, threads=args.threads)
-            _write_table(table, Path(args.out), "ablation_h", args.format)
+        if args.command in _SWEEPS:
+            run, stem, _ = _SWEEPS[args.command]
+            _write_table(run(cfg, threads=args.threads), Path(args.out), stem, args.format)
             return EXIT_OK
         parser.error(f"unknown command {args.command!r}")
     except (ValueError, ClusterMapFormatError) as exc:

@@ -196,16 +196,18 @@ def _lloyd_iterations(emb, h, seed, max_iters, tol):
             return
 
 
+_KMEANS_RESTARTS = 16
+
+
 def kmeans_fit(
     embeddings: np.ndarray,
     h: int,
     seed: int = 0,
     max_iters: int = 100,
     tol: float = 1e-6,
-    n_init: int = 16,
 ) -> ClusterMap:
-    """Lloyd's algorithm with k-means++ initialization, best of ``n_init``
-    seeded restarts by within-cluster sum of squares.
+    """Lloyd's algorithm with k-means++ initialization, best of 16 seeded
+    restarts by within-cluster sum of squares.
 
     Each restart stops when the largest centroid movement drops below
     ``tol`` or after ``max_iters`` sweeps.  Empty clusters are repaired by
@@ -221,15 +223,11 @@ def kmeans_fit(
         raise ValueError("max_iters must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
 
     labels = centroids = None
     best = np.inf
-    for restart in range(n_init):
-        sub_seed = seed if n_init == 1 else int(
-            np.random.SeedSequence(seed, spawn_key=(restart,)).generate_state(1)[0]
-        )
+    for restart in range(_KMEANS_RESTARTS):
+        sub_seed = int(np.random.SeedSequence(seed, spawn_key=(restart,)).generate_state(1)[0])
         run_labels = run_centroids = None
         for run_labels, run_centroids in _lloyd_iterations(
             emb, h, sub_seed, max_iters, tol

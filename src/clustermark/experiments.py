@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.stats import chi2
@@ -171,58 +171,93 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from a JSON object; an unknown key or a value of the wrong
+        type raises ValueError naming the key."""
+        _check_keys("config", d, ("model", "embedding_file", "cluster", "key",
+                                  "methods", "channel", "output", *_CONVERTED))
         kwargs = {}
-        model = d.get("model")
-        if isinstance(model, dict):
-            kwargs["model"] = SyntheticModelConfig(**model)
+        if d.get("model") is not None:
+            kwargs["model"] = _dataclass_from("model", SyntheticModelConfig, d["model"])
         if d.get("embedding_file"):
             kwargs["embedding_file"] = str(d["embedding_file"])
         cluster = d.get("cluster", {})
-        for src, dst in (
-            ("h", "cluster_h"),
-            ("seed", "cluster_seed"),
-            ("max_iters", "cluster_max_iters"),
-            ("tol", "cluster_tol"),
-        ):
+        _check_keys("cluster", cluster, _CLUSTER_KEYS)
+        for src, (dst, kind) in _CLUSTER_KEYS.items():
             if src in cluster:
-                kwargs[dst] = cluster[src]
+                kwargs[dst] = _call(f"cluster.{src}", kind, cluster[src])
         if "key" in d:
-            kwargs["key"] = str(d["key"]).encode("utf-8")
+            if not isinstance(d["key"], str):
+                raise ValueError("key must be a string")
+            kwargs["key"] = d["key"].encode("utf-8")
         if "methods" in d:
-            kwargs["methods"] = [_method_from_dict(m) for m in d["methods"]]
+            if not isinstance(d["methods"], list):
+                raise ValueError("methods must be a list")
+            kwargs["methods"] = [_method_from_dict(f"methods[{i}]", m)
+                                 for i, m in enumerate(d["methods"])]
         channel = d.get("channel")
         if isinstance(channel, str):
             kwargs["channel"] = channel_preset(channel)
-        elif isinstance(channel, dict):
-            if "preset" in channel:
-                kwargs["channel"] = channel_preset(
-                    channel["preset"],
-                    seed=channel.get("seed", 0),
-                    same_cluster_pool=channel.get("same_cluster_pool", 5),
-                )
-            else:
-                kwargs["channel"] = ChannelConfig(**channel)
-        for name in (
-            "trials",
-            "seq_len",
-            "prompt_len",
-            "seed",
-            "its_null_sims",
-            "audit_contexts",
-            "audit_keys",
-            "audit_reweight_codes",
-        ):
+        elif isinstance(channel, dict) and "preset" in channel:
+            _check_keys("channel", channel, ("preset", "seed", "same_cluster_pool"))
+            rest = {k: v for k, v in channel.items() if k != "preset"}
+            kwargs["channel"] = _call("channel", channel_preset, channel["preset"], **rest)
+        elif channel is not None:
+            kwargs["channel"] = _dataclass_from("channel", ChannelConfig, channel)
+        for name, kind in _CONVERTED.items():
             if name in d:
-                kwargs[name] = int(d[name])
+                kwargs[name] = _call(name, kind, d[name])
         if d.get("output"):
             kwargs["output"] = str(d["output"])
-        for name in ("fpr_grid", "substitution_rates", "insert_delete_rates"):
-            if name in d:
-                kwargs[name] = tuple(float(x) for x in d[name])
-        for name in ("h_grid", "crop_lengths"):
-            if name in d:
-                kwargs[name] = tuple(int(x) for x in d[name])
         return cls(**kwargs)
+
+
+def _list_of(kind):
+    def convert(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(kind(x) for x in value)
+    return convert
+
+
+# config key -> conversion, for the keys named after their field
+_CONVERTED = {
+    **dict.fromkeys(("trials", "seq_len", "prompt_len", "seed", "its_null_sims",
+                     "audit_contexts", "audit_keys", "audit_reweight_codes"), int),
+    **dict.fromkeys(("fpr_grid", "substitution_rates", "insert_delete_rates"),
+                    _list_of(float)),
+    **dict.fromkeys(("h_grid", "crop_lengths"), _list_of(int)),
+}
+
+# "cluster" key -> (field, conversion)
+_CLUSTER_KEYS = {
+    "h": ("cluster_h", int),
+    "seed": ("cluster_seed", int),
+    "max_iters": ("cluster_max_iters", int),
+    "tol": ("cluster_tol", float),
+}
+
+
+def _check_keys(where: str, d, allowed) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _call(where: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a TypeError or ValueError (a missing field,
+    a value of the wrong type or out of range) becomes a ValueError naming
+    the config key ``where``."""
+    try:
+        return fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _dataclass_from(where: str, cls_, d: dict):
+    _check_keys(where, d, [f.name for f in fields(cls_)])
+    return _call(where, cls_, **d)
 
 
 def _strategy_params(cfg: ReweightConfig) -> dict:
@@ -233,10 +268,11 @@ def _strategy_params(cfg: ReweightConfig) -> dict:
     return out
 
 
-def _method_from_dict(d: dict) -> MethodSpec:
+def _method_from_dict(where: str, d: dict) -> MethodSpec:
+    _check_keys(where, d, ["ngram_n", *(f.name for f in fields(ReweightConfig))])
     d = dict(d)
-    ngram = int(d.pop("ngram_n", 1))
-    return MethodSpec(ReweightConfig(**d), ngram_n=ngram)
+    ngram = _call(f"{where}.ngram_n", int, d.pop("ngram_n", 1))
+    return MethodSpec(_call(where, ReweightConfig, **d), ngram_n=ngram)
 
 
 def default_config(**overrides) -> ExperimentConfig:
@@ -345,17 +381,6 @@ def fit_environment(cfg: ExperimentConfig):
     return model, embeddings, map_
 
 
-def _make_session(cfg: ExperimentConfig, method: MethodSpec, map_: ClusterMap,
-                  gen_seed: int) -> GenerationSession:
-    return GenerationSession(
-        key=cfg.key,
-        config=method.config,
-        ngram_n=method.ngram_n,
-        cluster_map=map_,
-        rng_seed=gen_seed,
-    )
-
-
 def _detect_multi(
     method: MethodSpec,
     tokens,
@@ -383,12 +408,6 @@ def _detect_multi(
     }
 
 
-def _channel_neighbors(cfg: ExperimentConfig, map_: ClusterMap, embeddings):
-    if cfg.channel is None:
-        return None
-    return same_cluster_neighbors(map_, embeddings, cfg.channel.same_cluster_pool)
-
-
 def _through_channel(tokens, cfg, map_, embeddings, neighbors, seed):
     if cfg.channel is None:
         return np.asarray(tokens, dtype=np.int64)
@@ -396,108 +415,16 @@ def _through_channel(tokens, cfg, map_, embeddings, neighbors, seed):
     return apply_channel(tokens, map_, embeddings, ch, neighbors)
 
 
-def _null_corpus(cfg: ExperimentConfig, model, map_: ClusterMap,
-                 embeddings) -> list[np.ndarray]:
-    """Unwatermarked sequences after the channel, one per trial; every
-    method scores the same ones."""
-    neighbors = _channel_neighbors(cfg, map_, embeddings)
-    out = []
-    for trial in range(cfg.trials):
-        prng = np.random.default_rng(_derive_seed(cfg.seed, _S_NULL, trial, 0))
-        prompt = prng.integers(0, cfg.model.n_vocab, cfg.prompt_len)
-        seq = generate_unwatermarked(
-            model, prompt, cfg.seq_len, _derive_seed(cfg.seed, _S_NULL, trial, 1)
-        )
-        out.append(_through_channel(seq, cfg, map_, embeddings, neighbors,
-                                    _derive_seed(cfg.seed, _S_NULLCH, trial)))
-    return out
-
-
-def _generate_watermarked(cfg, model, map_, method: MethodSpec, mi: int,
-                          trial: int) -> np.ndarray:
-    prng = np.random.default_rng(_derive_seed(cfg.seed, _S_PROMPT, mi, trial))
+def _generate_watermarked(cfg, model, map_, method: MethodSpec, cell: int,
+                          trial: int, length: int) -> np.ndarray:
+    """The watermarked sequence of one (cell, trial), from its own prompt
+    and generation seeds."""
+    prng = np.random.default_rng(_derive_seed(cfg.seed, _S_PROMPT, cell, trial))
     prompt = prng.integers(0, cfg.model.n_vocab, cfg.prompt_len)
-    session = _make_session(cfg, method, map_,
-                            _derive_seed(cfg.seed, _S_GEN, mi, trial))
-    return np.asarray(generate(model, prompt, cfg.seq_len, session), dtype=np.int64)
-
-
-def _detectability_chunk(args) -> list[tuple]:
-    """Worker: [(mi, trial, wm_result, null_result)] for a trial range."""
-    cfg, map_, embeddings, null_corpus, mi, trials = args
-    model, _ = build_synthetic_model(cfg.model)
-    neighbors = _channel_neighbors(cfg, map_, embeddings)
-    method = cfg.methods[mi]
-    out = []
-    for trial in trials:
-        wm = _generate_watermarked(cfg, model, map_, method, mi, trial)
-        wm = _through_channel(wm, cfg, map_, embeddings, neighbors,
-                              _derive_seed(cfg.seed, _S_CHANNEL, mi, trial))
-        wm_res = _detect_multi(method, wm, cfg, map_,
-                               _derive_seed(cfg.seed, _S_ITS, mi, trial, 0))
-        null_res = _detect_multi(method, null_corpus[trial], cfg, map_,
-                                 _derive_seed(cfg.seed, _S_ITS, mi, trial, 1))
-        out.append((mi, trial, wm_res, null_res))
-    return out
-
-
-def _trial_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
-    """The trial range cut into one contiguous chunk per worker."""
-    n_chunks = max(1, min(threads, cfg.trials))
-    size = math.ceil(cfg.trials / n_chunks)
-    return [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
-
-
-def _run_trials(fn, tasks: list, threads: int) -> list:
-    """``fn`` over every task, in order; in ``threads`` worker processes
-    when threads > 1.  Every task derives its randomness from the config
-    and its trial indices, so the worker count never changes a result."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
-def _wm_metrics(cfg: ExperimentConfig, results: list[dict]) -> dict:
-    return {
-        "tpr_at_fpr": {
-            str(f): float(np.mean([r["verdicts"][f] for r in results]))
-            for f in cfg.fpr_grid
-        },
-        "tpr_hoeffding_at_fpr": {
-            str(f): float(np.mean([r["verdicts_hoeffding"][f] for r in results]))
-            for f in cfg.fpr_grid
-        },
-        "median_p": float(np.median([r["p"] for r in results])),
-        "mean_score": float(np.mean([r["score"] for r in results])),
-        "mean_steps": float(np.mean([r["steps"] for r in results])),
-    }
-
-
-def run_detectability(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
-    """TPR at guaranteed FPRs plus median p-value per configured method,
-    with watermarked and null corpora pushed through the channel."""
-    model, embeddings, map_ = fit_environment(cfg)
-    null_corpus = _null_corpus(cfg, model, map_, embeddings)
-    tasks = [(cfg, map_, embeddings, null_corpus, mi, trials)
-             for mi in range(len(cfg.methods)) for trials in _trial_chunks(cfg, threads)]
-    by_method: dict[int, list] = {mi: [] for mi in range(len(cfg.methods))}
-    for chunk in _run_trials(_detectability_chunk, tasks, threads):
-        for mi, _, wm_res, null_res in chunk:
-            by_method[mi].append((wm_res, null_res))
-
-    table = ResultTable("run-detectability", cfg.to_dict())
-    for mi, method in enumerate(cfg.methods):
-        table.rows.append({
-            "method": method.label,
-            "params": {**_strategy_params(method.config), "ngram_n": method.ngram_n},
-            **_wm_metrics(cfg, [wm for wm, _ in by_method[mi]]),
-            "fpr_measured": {
-                str(f): float(np.mean([null["verdicts"][f] for _, null in by_method[mi]]))
-                for f in cfg.fpr_grid
-            },
-        })
-    return table
+    session = GenerationSession(key=cfg.key, config=method.config, ngram_n=method.ngram_n,
+                                cluster_map=map_,
+                                rng_seed=_derive_seed(cfg.seed, _S_GEN, cell, trial))
+    return np.asarray(generate(model, prompt, length, session), dtype=np.int64)
 
 
 def _apply_attack(tokens, attack: str, param, cfg: ExperimentConfig, seed: int):
@@ -515,25 +442,6 @@ def _apply_attack(tokens, attack: str, param, cfg: ExperimentConfig, seed: int):
     raise ValueError(f"unknown attack {attack!r}")
 
 
-def _robustness_chunk(args) -> list[tuple]:
-    cfg, map_, embeddings, mi, attacks, trials = args
-    model, _ = build_synthetic_model(cfg.model)
-    neighbors = _channel_neighbors(cfg, map_, embeddings)
-    method = cfg.methods[mi]
-    out = []
-    for trial in trials:
-        wm = _generate_watermarked(cfg, model, map_, method, mi, trial)
-        wm = _through_channel(wm, cfg, map_, embeddings, neighbors,
-                              _derive_seed(cfg.seed, _S_CHANNEL, mi, trial))
-        for ai, (attack, param) in enumerate(attacks):
-            seq = _apply_attack(wm, attack, param, cfg,
-                                _derive_seed(cfg.seed, _S_ATTACK, mi, trial, ai))
-            res = _detect_multi(method, seq, cfg, map_,
-                                _derive_seed(cfg.seed, _S_ITS, mi, trial, 2 + ai))
-            out.append((mi, ai, trial, res))
-    return out
-
-
 def attack_grid(cfg: ExperimentConfig) -> list[tuple[str, object]]:
     grid: list[tuple[str, object]] = [("none", "")]
     grid += [("substitute", r) for r in cfg.substitution_rates]
@@ -542,50 +450,124 @@ def attack_grid(cfg: ExperimentConfig) -> list[tuple[str, object]]:
     return grid
 
 
+def _trial_chunk(args) -> list[tuple]:
+    """Worker: [(cell, condition, result)] for a contiguous trial range.
+
+    Per trial, each cell (a method and the map it watermarks with)
+    generates its sequence, sends it through the channel (fit on the
+    reference map) and scores it after every (attack, param); the condition
+    is the attack's index.  With ``null``, the trial's unwatermarked
+    sequence is generated and channelled once and scored under every cell
+    as condition "null".
+    """
+    cfg, model, embeddings, ref_map, cells, attacks, its_offset, null, trials = args
+    neighbors = None
+    if cfg.channel is not None:
+        neighbors = same_cluster_neighbors(ref_map, embeddings, cfg.channel.same_cluster_pool)
+    out = []
+    for trial in trials:
+        if null:
+            prng = np.random.default_rng(_derive_seed(cfg.seed, _S_NULL, trial, 0))
+            prompt = prng.integers(0, cfg.model.n_vocab, cfg.prompt_len)
+            null_seq = generate_unwatermarked(model, prompt, cfg.seq_len,
+                                              _derive_seed(cfg.seed, _S_NULL, trial, 1))
+            null_seq = _through_channel(null_seq, cfg, ref_map, embeddings, neighbors,
+                                        _derive_seed(cfg.seed, _S_NULLCH, trial))
+        for ci, (method, map_) in enumerate(cells):
+            wm = _generate_watermarked(cfg, model, map_, method, ci, trial, cfg.seq_len)
+            wm = _through_channel(wm, cfg, ref_map, embeddings, neighbors,
+                                  _derive_seed(cfg.seed, _S_CHANNEL, ci, trial))
+            for ai, (attack, param) in enumerate(attacks):
+                seq = _apply_attack(wm, attack, param, cfg,
+                                    _derive_seed(cfg.seed, _S_ATTACK, ci, trial, ai))
+                out.append((ci, ai, _detect_multi(
+                    method, seq, cfg, map_,
+                    _derive_seed(cfg.seed, _S_ITS, ci, trial, its_offset + ai))))
+            if null:
+                out.append((ci, "null", _detect_multi(
+                    method, null_seq, cfg, map_, _derive_seed(cfg.seed, _S_ITS, ci, trial, 1))))
+    return out
+
+
+def _sweep(cfg: ExperimentConfig, env, cells: list[tuple[MethodSpec, ClusterMap]],
+           attacks: list[tuple[str, object]], threads: int, its_offset: int = 0,
+           null: bool = False) -> dict[tuple, list[dict]]:
+    """Every cell over every trial: {(cell, condition): results in trial order}.
+
+    The trials are cut into one contiguous chunk per worker, each chunk in
+    its own worker process when there are several.  Every result derives its
+    randomness from the config, the cell and the trial, so the worker count
+    never changes a result.  The ITS null of the sequence after attack ``ai``
+    is seeded with tag ``its_offset + ai`` (the null sequence's tag is 1):
+    robustness starts at 2, the others at 0.  The offset is there only to
+    keep the seeded ITS columns of each sweep byte-identical.
+    """
+    model, embeddings, ref_map = env
+    size = math.ceil(cfg.trials / max(1, min(threads, cfg.trials)))
+    tasks = [(cfg, model, embeddings, ref_map, cells, attacks, its_offset, null,
+              range(lo, min(lo + size, cfg.trials))) for lo in range(0, cfg.trials, size)]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            chunks = list(pool.map(_trial_chunk, tasks))
+    else:
+        chunks = [_trial_chunk(task) for task in tasks]
+    results: dict[tuple, list[dict]] = {}
+    for chunk in chunks:
+        for ci, condition, res in chunk:
+            results.setdefault((ci, condition), []).append(res)
+    return results
+
+
+def _rate(results: list[dict], verdicts: str, f: float) -> float:
+    return float(np.mean([r[verdicts][f] for r in results]))
+
+
+def _row(cfg: ExperimentConfig, method: MethodSpec, results: list[dict], **extra) -> dict:
+    """One result-table row: the method, any condition columns, and the
+    aggregate metrics over its results."""
+    return {
+        "method": method.label,
+        "params": {**_strategy_params(method.config), "ngram_n": method.ngram_n},
+        **extra,
+        "tpr_at_fpr": {str(f): _rate(results, "verdicts", f) for f in cfg.fpr_grid},
+        "tpr_hoeffding_at_fpr": {str(f): _rate(results, "verdicts_hoeffding", f)
+                                 for f in cfg.fpr_grid},
+        "median_p": float(np.median([r["p"] for r in results])),
+        "mean_score": float(np.mean([r["score"] for r in results])),
+        "mean_steps": float(np.mean([r["steps"] for r in results])),
+    }
+
+
+def run_detectability(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
+    """TPR at guaranteed FPRs plus median p-value per configured method,
+    with watermarked and null corpora pushed through the channel."""
+    env = fit_environment(cfg)
+    results = _sweep(cfg, env, [(m, env[2]) for m in cfg.methods], [("none", "")],
+                     threads, null=True)
+    table = ResultTable("run-detectability", cfg.to_dict())
+    for ci, method in enumerate(cfg.methods):
+        row = _row(cfg, method, results[ci, 0])
+        row["fpr_measured"] = {str(f): _rate(results[ci, "null"], "verdicts", f)
+                               for f in cfg.fpr_grid}
+        table.rows.append(row)
+    return table
+
+
 def run_robustness(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     """TPR at the first configured FPR for every (method, attack) cell.
 
     The channel (if configured) applies before the attack, so the
     ("none", "") rows replicate the detectability pipeline.
     """
-    model, embeddings, map_ = fit_environment(cfg)
+    env = fit_environment(cfg)
     attacks = attack_grid(cfg)
-    tasks = [(cfg, map_, embeddings, mi, attacks, trials)
-             for mi in range(len(cfg.methods)) for trials in _trial_chunks(cfg, threads)]
-    cells: dict[tuple[int, int], list] = {}
-    for chunk in _run_trials(_robustness_chunk, tasks, threads):
-        for mi, ai, _, res in chunk:
-            cells.setdefault((mi, ai), []).append(res)
-
+    results = _sweep(cfg, env, [(m, env[2]) for m in cfg.methods], attacks, threads,
+                     its_offset=2)
     table = ResultTable("run-robustness", cfg.to_dict())
-    for (mi, ai), results in sorted(cells.items()):
-        attack, param = attacks[ai]
-        method = cfg.methods[mi]
-        table.rows.append({
-            "method": method.label,
-            "params": {**_strategy_params(method.config), "ngram_n": method.ngram_n},
-            "attack": attack,
-            "param": param,
-            **_wm_metrics(cfg, results),
-        })
+    for ci, method in enumerate(cfg.methods):
+        for ai, (attack, param) in enumerate(attacks):
+            table.rows.append(_row(cfg, method, results[ci, ai], attack=attack, param=param))
     return table
-
-
-def _ablation_chunk(args) -> list[tuple]:
-    cfg, ref_map, embeddings, hi, h_map, trials = args
-    model, _ = build_synthetic_model(cfg.model)
-    # channel geometry stays fixed (reference map); watermark uses h_map
-    neighbors = _channel_neighbors(cfg, ref_map, embeddings)
-    method = MethodSpec(ReweightConfig("aligned_is", h=h_map.h), ngram_n=3)
-    out = []
-    for trial in trials:
-        seq = _generate_watermarked(cfg, model, h_map, method, hi, trial)
-        seq = _through_channel(seq, cfg, ref_map, embeddings, neighbors,
-                               _derive_seed(cfg.seed, _S_CHANNEL, hi, trial))
-        res = _detect_multi(method, seq, cfg, h_map,
-                            _derive_seed(cfg.seed, _S_ITS, hi, trial, 0))
-        out.append((hi, trial, res))
-    return out
 
 
 def run_ablation_h(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
@@ -595,32 +577,18 @@ def run_ablation_h(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     geometry (clusters fit at cfg.cluster_h), emulating a codec whose
     confusion structure does not change when the watermark's partition does.
     """
-    model, embeddings, ref_map = fit_environment(cfg)
-    h_maps = []
+    env = fit_environment(cfg)
+    _, embeddings, ref_map = env
+    cells = []
     for h in cfg.h_grid:
-        if h == ref_map.h:
-            h_maps.append(ref_map)
-        else:
-            h_maps.append(kmeans_fit(embeddings, h, seed=cfg.cluster_seed,
-                                     max_iters=cfg.cluster_max_iters,
-                                     tol=cfg.cluster_tol))
-
-    tasks = [(cfg, ref_map, embeddings, hi, h_map, trials)
-             for hi, h_map in enumerate(h_maps) for trials in _trial_chunks(cfg, threads)]
-    by_h: dict[int, list] = {hi: [] for hi in range(len(h_maps))}
-    for chunk in _run_trials(_ablation_chunk, tasks, threads):
-        for hi, _, res in chunk:
-            by_h[hi].append(res)
-
+        h_map = ref_map if h == ref_map.h else kmeans_fit(
+            embeddings, h, seed=cfg.cluster_seed, max_iters=cfg.cluster_max_iters,
+            tol=cfg.cluster_tol)
+        cells.append((MethodSpec(ReweightConfig("aligned_is", h=h), ngram_n=3), h_map))
+    results = _sweep(cfg, env, cells, [("none", "")], threads)
     table = ResultTable("ablate-h", cfg.to_dict())
     for hi, h in enumerate(cfg.h_grid):
-        results = by_h[hi]
-        table.rows.append({
-            "method": f"aligned_is(h={h})",
-            "params": {"strategy": "aligned_is", "h": h, "ngram_n": 3},
-            "h": h,
-            **_wm_metrics(cfg, results),
-        })
+        table.rows.append(_row(cfg, cells[hi][0], results[hi, 0], h=h))
     return table
 
 

@@ -53,9 +53,7 @@ class GenerationSession:
 
     The history (a set of code fingerprints) starts empty per session; pass
     ``history`` explicitly to share spent codes across sequences.
-    ``dedup=False`` disables the history check (repeated codes then re-bias
-    sampling; only useful for diagnostics).  ``cluster_map`` is read only
-    by cluster-context strategies.
+    ``cluster_map`` is read only by cluster-context strategies.
     """
 
     key: bytes
@@ -63,7 +61,6 @@ class GenerationSession:
     ngram_n: int = 1
     cluster_map: ClusterMap | None = None
     rng_seed: int = 0
-    dedup: bool = True
     history: set[int] = field(default_factory=set)
     watermarked_mask: list[bool] = field(default_factory=list, repr=False)
 
@@ -127,9 +124,8 @@ def generate(
             code = make_code(session.key, context, session.ngram_n,
                              session.config.strategy, session.cluster_map)
             fingerprint = code_fingerprint(code) if code is not None else None
-            fresh = code is not None and not (
-                session.dedup and fingerprint in session.history)
-            if fresh and session.dedup:
+            fresh = code is not None and fingerprint not in session.history
+            if fresh:
                 session.history.add(fingerprint)
         token = strategy.step(dist, code, session, rng) if fresh else _sample_plain(dist, rng)
         session.watermarked_mask.append(fresh)

@@ -57,6 +57,23 @@ class TestClusterCommand:
         path.write_text("{oops")
         assert main(["cluster", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("cfg, named", [
+        ({"methods": [{"strategy": "kgw", "delta": 2.0, "gamma": 0.5, "foo": 1}]}, "'foo'"),
+        ({"model": {"n_vocab": 80, "vocab": 3}}, "'vocab'"),
+        ({"channel": {"p_tok": 0.2, "q": 0.5}}, "'q'"),
+        ({"fpr_grid": 0.01}, "fpr_grid"),
+        ([], "JSON object"),
+        ({"trails": 3}, "'trails'"),
+        ({"cluster": {"hh": 4}}, "'hh'"),
+        ({"key": None}, "key must be a string"),
+    ])
+    def test_bad_config_key_is_usage_error(self, tmp_path, capsys, cfg, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["cluster", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "cluster_map.json").exists()
+
 
 class TestGenerateDetect:
     def test_round_trip_verdict(self, tiny_config_path, tmp_path, capsys):

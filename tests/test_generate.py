@@ -9,7 +9,12 @@ from clustermark.generate import (
     generate_unwatermarked,
     make_code,
 )
-from clustermark.reweight import ReweightConfig
+from clustermark.reweight import (
+    ReweightConfig,
+    aligned_sample,
+    build_segment_table,
+    cluster_probs,
+)
 
 from conftest import ConstantModel, balanced_cluster_map
 
@@ -86,14 +91,6 @@ class TestHistorySemantics:
         assert any(ses.watermarked_mask[3:])
         assert len(out) == 20
 
-    def test_dedup_disabled_rewatermarks(self, rng):
-        model = ConstantModel(rng.dirichlet(np.ones(10)))
-        ses = session("its", ngram_n=1, seed=1)
-        ses.dedup = False
-        generate(model, [2], 30, ses)
-        assert all(ses.watermarked_mask)
-        assert len(ses.history) == 0
-
     def test_unigram_watermarks_every_step(self, rng):
         model = ConstantModel(rng.dirichlet(np.ones(10)))
         ses = session("unigram", ngram_n=1, seed=1, delta=2.0, gamma=0.5)
@@ -123,16 +120,14 @@ class TestDistortion:
         assert chisquare(counts, dist * n_keys).pvalue > 0.01
 
     def test_h1_equals_plain_sampling_law(self, rng):
+        # with one cluster the segment table is all of [0, 1), so every r
+        # leads to a plain draw from the model's distribution
         m = balanced_cluster_map(10, 1)
         dist = rng.dirichlet(np.full(10, 2.0))
-        model = ConstantModel(dist)
-        counts = np.zeros(10)
+        table = build_segment_table(cluster_probs(dist, m))
+        gen = np.random.default_rng(0)
         n = 30_000
-        ses = GenerationSession(
-            key=KEY, config=ReweightConfig("aligned_is", h=1), ngram_n=1,
-            cluster_map=m, rng_seed=0, dedup=False,
-        )
-        out = generate(model, [0], n, ses)
+        out = [aligned_sample(table, dist, m, gen.random(), gen) for _ in range(n)]
         counts = np.bincount(out, minlength=10)
         assert chisquare(counts, dist * n).pvalue > 0.01
 
