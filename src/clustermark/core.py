@@ -5,6 +5,21 @@ per-step randomness from a watermark code: the secret key plus the n-gram
 of context values preceding the current position.  The derivations here are
 fixed to SHA-256 with explicit domain separation so that two independent
 processes recover bit-identical values from the same key and context.
+
+Keyed permutations are bit-stable across versions, so content watermarked
+by an earlier version still detects.  The permutation of [0, n) for a code
+is drawn from this stream:
+
+- prefix = key || 0x02 || ngram_n || context, with ngram_n and each context
+  value 4-byte big-endian (the key-only unigram code has ngram_n 0 and an
+  empty context);
+- block b = 0, 1, ... is SHA-256(prefix || b), b 4-byte big-endian;
+- each digest is four words, bytes 0-7, 8-15, 16-23 and 24-31, each a
+  big-endian uint64; the stream is block 0's words, then block 1's, ...;
+- Fisher-Yates from the identity, for i = n-1 down to 1 with m = i + 1:
+  take the next word u; if u >= 2^64 - (2^64 mod m) it is rejected and
+  consumed, and the next word serves the same i (a power-of-two m rejects
+  nothing); otherwise swap positions i and u mod m.
 """
 
 from __future__ import annotations
@@ -92,6 +107,55 @@ def prf_r(code: WatermarkCode) -> float:
     return _prf_r_raw(code.key, code.ngram_n, code.context)
 
 
+def _sha256_words(prefix: bytes, n_words: int):
+    """Counter-mode SHA-256 stream as batches of big-endian uint64 words.
+
+    Block ``b`` is SHA-256(prefix || b as 4-byte big-endian), read as four
+    words.  The first batch holds the ``ceil(n_words / 4)`` blocks that
+    suffice without rejections; each later batch is one more block.
+    """
+    base = hashlib.sha256(prefix)
+    block, n_blocks = 0, -(-n_words // 4)
+    while True:
+        digests = []
+        for b in range(block, block + n_blocks):
+            h = base.copy()
+            h.update(b.to_bytes(4, "big"))
+            digests.append(h.digest())
+        block += n_blocks
+        n_blocks = 1
+        yield np.frombuffer(b"".join(digests), ">u8").astype(np.uint64)
+
+
+def _fisher_yates(n: int, batches) -> list[int]:
+    """Permutation of [0, n) shuffled by the uint64 word arrays ``batches``.
+
+    The rejection tests and modulos run as array operations over each
+    batch up to its first rejected word; only the swaps stay sequential.
+    Rules as in the module docstring.  Taking the batches as an argument
+    lets a test feed rejected words, which SHA-256 output almost never is.
+    """
+    m = np.arange(n, 1, -1, dtype=np.uint64)
+    highest_ok = ~((~m + np.uint64(1)) % m)  # 2^64 - 1 - (2^64 mod m)
+    targets = np.empty(m.size, dtype=np.uint64)
+    done, words = 0, np.empty(0, dtype=np.uint64)
+    while done < m.size:
+        if words.size == 0:
+            words = next(batches)
+        k = min(words.size, m.size - done)
+        u = words[:k]
+        rejected = np.flatnonzero(u > highest_ok[done : done + k])
+        take = int(rejected[0]) if rejected.size else k
+        targets[done : done + take] = u[:take] % m[done : done + take]
+        done += take
+        words = words[take + 1 if rejected.size else take :]
+
+    out = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 @lru_cache(maxsize=1 << 15)
 def _prf_permutation_raw(
     key: bytes, ngram_n: int, context: tuple[int, ...], n: int
@@ -100,32 +164,7 @@ def _prf_permutation_raw(
     if n < 1:
         raise ValueError("permutation size must be >= 1")
     prefix = _encode(key, _DOMAIN_PERMUTATION, ngram_n, context)
-
-    # Counter-mode SHA-256 stream, consumed as unsigned 64-bit words.
-    words: list[int] = []
-    block = 0
-
-    def refill():
-        nonlocal block
-        digest = hashlib.sha256(prefix + block.to_bytes(4, "big")).digest()
-        block += 1
-        words.extend(int.from_bytes(digest[k : k + 8], "big") for k in range(0, 32, 8))
-
-    out = np.arange(n, dtype=np.int64)
-    wi = 0
-    for i in range(n - 1, 0, -1):
-        m = i + 1
-        limit = _TWO64 - (_TWO64 % m)  # rejection bound for bias-free draws
-        while True:
-            if wi >= len(words):
-                refill()
-            u = words[wi]
-            wi += 1
-            if u < limit:
-                break
-        j = u % m
-        out[i], out[j] = out[j], out[i]
-
+    out = np.array(_fisher_yates(n, _sha256_words(prefix, n - 1)), dtype=np.int64)
     inverse = np.empty_like(out)
     inverse[out] = np.arange(n, dtype=np.int64)
     out.setflags(write=False)
@@ -134,7 +173,14 @@ def _prf_permutation_raw(
 
 
 def prf_permutation(code: WatermarkCode, n: int) -> np.ndarray:
-    """Deterministic keyed permutation of [0, n) via Fisher-Yates."""
+    """Deterministic keyed permutation of [0, n) via Fisher-Yates.
+
+    The words are SHA-256(key || 0x02 || ngram_n || context || block),
+    integers 4-byte big-endian and block = 0, 1, ..., each digest split into
+    four big-endian uint64.  For i = n-1 .. 1 and m = i + 1, a word
+    u >= 2^64 - (2^64 mod m) is rejected and consumed; otherwise positions i
+    and u mod m swap.  The stream is fixed across versions.
+    """
     return _prf_permutation_raw(code.key, code.ngram_n, code.context, n)[0]
 
 

@@ -339,6 +339,10 @@ def detect_dipmark(
     return _report("dipmark", total, trace, null, fpr)
 
 
+# per-gather float32 elements in the ITS null: two ~8 MB temporaries
+_NULL_GATHER_ELEMENTS = 2_000_000
+
+
 def _its_null_structure(arr: np.ndarray, ngram_n: int):
     """Factorized (context id, token id) pairs for the scored steps.
 
@@ -358,11 +362,13 @@ def _its_null_samples(
 
     Each simulation redraws one unit-interval value per distinct context and
     one rank per distinct token value, mimicking a fresh key while keeping
-    the sequence's repetition structure.  Simulated in blocks of about
+    the sequence's repetition structure.  Draws are made in blocks of about
     4 000 000 elements (all simulations in one block for sequences up to
     400 scored steps at 10 000 simulations); the block size fixes how the
     draws interleave in the RNG stream, so changing it changes every
-    simulated null."""
+    simulated null.  The gather, difference and row sums run over row
+    sub-blocks of about ``_NULL_GATHER_ELEMENTS`` elements, which bounds
+    their temporaries and leaves each row's sum unchanged."""
     ctx_idx, tok_idx = _its_null_structure(arr, ngram_n)
     n_ctx = int(ctx_idx.max()) + 1
     n_tok = int(tok_idx.max()) + 1
@@ -370,6 +376,7 @@ def _its_null_samples(
     rng = np.random.default_rng(seed)
     out = np.empty(n_sims)
     block = max(1, min(n_sims, 4_000_000 // max(1, t)))
+    rows = max(1, _NULL_GATHER_ELEMENTS // max(1, t))
     for lo in range(0, n_sims, block):
         hi = min(lo + block, n_sims)
         # float32 internals: worst-case 1e-5 absolute error in a 500-term
@@ -378,8 +385,12 @@ def _its_null_samples(
         u_draws = (
             rng.integers(0, n_vocab, size=(hi - lo, n_tok)).astype(np.float32) + 0.5
         ) / n_vocab
-        diff = np.abs(r_draws[:, ctx_idx] - u_draws[:, tok_idx])
-        out[lo:hi] = t - diff.sum(axis=1, dtype=np.float64)
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            diff = r_draws[a - lo : b - lo, ctx_idx]
+            diff -= u_draws[a - lo : b - lo, tok_idx]
+            np.abs(diff, out=diff)
+            out[a:b] = t - diff.sum(axis=1, dtype=np.float64)
     return out
 
 

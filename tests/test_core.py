@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.stats import kstest
 
 from clustermark.core import (
     WatermarkCode,
+    _fisher_yates,
+    _prf_permutation_raw,
     code_fingerprint,
     prf_permutation,
     prf_r,
@@ -84,7 +87,87 @@ class TestPrfR:
         assert prf_r(c) != code_fingerprint(c) / 2**64
 
 
+def _reference_words(key, ngram_n, context):
+    """The permutation word stream, one SHA-256 block at a time."""
+    prefix = b"".join([key, b"\x02", ngram_n.to_bytes(4, "big"),
+                       *(v.to_bytes(4, "big") for v in context)])
+    for block in itertools.count():
+        digest = hashlib.sha256(prefix + block.to_bytes(4, "big")).digest()
+        for k in range(0, 32, 8):
+            yield int.from_bytes(digest[k : k + 8], "big")
+
+
+def _reference_shuffle(n, words):
+    """The scalar Fisher-Yates loop that drew every permutation before the
+    batched version: one rejection test, modulo and swap per index."""
+    out = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        m = i + 1
+        limit = 2**64 - (2**64 % m)
+        while True:
+            u = next(words)
+            if u < limit:
+                break
+        j = u % m
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def _bound(m):
+    """Smallest word rejected for modulus m."""
+    return 2**64 - 2**64 % m
+
+
+PERM_CODES = [(KEY, 1, (42,)), (KEY, 1, (0,)), (KEY, 1, (2**32 - 1,)),
+              (b"other", 3, (1, 2, 3)), (KEY, 3, (500, 0, 7)), (KEY, 0, ())]
+
+
 class TestPrfPermutation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500, 1024, 4096])
+    def test_matches_scalar_reference(self, n):
+        for key, ngram_n, context in PERM_CODES:
+            perm, inverse = _prf_permutation_raw(key, ngram_n, context, n)
+            ref = _reference_shuffle(n, _reference_words(key, ngram_n, context))
+            assert perm.tolist() == ref.tolist()
+            assert inverse.tolist() == np.argsort(ref).tolist()
+
+    def test_frozen_digest_n4096(self):
+        # computed by the scalar loop; content watermarked with it must
+        # keep detecting
+        perm = prf_permutation(code(), 4096)
+        assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest() == (
+            "b28d15144ae37958798b1c4603f5ce4c2d0ac6937c658193034db3bb58bd7c6d")
+
+    def test_rejected_words_are_consumed(self):
+        # n = 7 draws with m = 7, 6, 5, 4, 3, 2; batches play hashed blocks
+        batches = [
+            [_bound(7), 2**64 - 1, 123, _bound(6)],  # two in a row; last word
+            [_bound(6) + 2, 999, 2**64 - 1, 77],     # 2^64 mod 5 = 1
+            [2**64 - 1, _bound(3) - 1, 2**64 - 1],   # powers of two reject nothing
+            [0],                                     # never needed
+        ]
+        assert 2**64 - 1 >= _bound(5)
+        stream = iter([np.array(b, dtype=np.uint64) for b in batches])
+        perm = _fisher_yates(7, stream)
+        assert next(stream).tolist() == [0]
+        ref = _reference_shuffle(7, itertools.chain.from_iterable(batches))
+        assert perm == ref.tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_rejections_match_scalar_reference(self, seed):
+        # words near 2^64 are rejected about half the time; batch sizes
+        # from 1 to 5 put rejections at every position of a batch
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        stream = np.uint64(2**64 - 1) - rng.integers(0, 2 * n, size=20 * n, dtype=np.uint64)
+        cuts = np.cumsum(rng.integers(1, 6, size=stream.size))
+        batches = [b for b in np.split(stream, cuts) if b.size]
+        words = stream.tolist()
+        rest = iter(words)
+        ref = _reference_shuffle(n, rest)
+        assert _fisher_yates(n, iter(batches)) == ref.tolist()
+        assert len(words) - len(list(rest)) > n - 1  # some word was rejected
+
     def test_n1_is_identity(self):
         assert prf_permutation(code(), 1).tolist() == [0]
 

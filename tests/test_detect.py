@@ -7,6 +7,7 @@ import pytest
 
 from clustermark.detect import (
     _its_null_samples,
+    _its_null_structure,
     _its_score_trace,
     detect_aligned,
     detect_dipmark,
@@ -276,6 +277,23 @@ class TestDetectIts:
         null_rep = _its_null_samples(rep_seq, 1, n_vocab, 2000, 5)
         null_div = _its_null_samples(div_seq, 1, n_vocab, 2000, 5)
         assert null_rep.std() > 3 * null_div.std()
+
+    @pytest.mark.parametrize("t, sims", [(400, 10_000), (9000, 700)])
+    def test_null_sub_blocks_match_whole_block_sums(self, rng, t, sims):
+        # reference: the whole draw block gathered and summed at once
+        arr = rng.integers(0, 1024, t + 1)
+        ctx_idx, tok_idx = _its_null_structure(arr, 1)
+        draws = np.random.default_rng(5)
+        block = min(sims, 4_000_000 // t)
+        ref = []
+        for lo in range(0, sims, block):
+            n = min(block, sims - lo)
+            r = draws.random((n, ctx_idx.max() + 1), dtype=np.float32)
+            u = (draws.integers(0, 1024, size=(n, tok_idx.max() + 1))
+                 .astype(np.float32) + 0.5) / 1024
+            ref.append(t - np.abs(r[:, ctx_idx] - u[:, tok_idx]).sum(axis=1, dtype=np.float64))
+        null = _its_null_samples(arr, 1, 1024, sims, 5)
+        assert null.tobytes() == np.concatenate(ref).tobytes()
 
     def test_p_value_floor(self, rng):
         n_vocab = 30
