@@ -190,6 +190,28 @@ def clear_prf_caches() -> None:
     _prf_permutation_raw.cache_clear()
 
 
+def _validate_tokens(tokens, n_vocab: int, min_len: int = 1) -> np.ndarray:
+    """``tokens`` as a 1-d int64 array; ValueError unless it holds at least
+    ``min_len`` ids, all in [0, n_vocab).
+
+    numpy indexing would wrap a negative id onto a real token, so every
+    entry point that indexes by token id checks here first.
+    """
+    arr = np.asarray(tokens, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("token sequence must be 1-d")
+    if arr.size < min_len:
+        raise ValueError(
+            f"token sequence has {arr.size} tokens; at least {min_len} needed"
+        )
+    outside = (arr < 0) | (arr >= n_vocab)
+    if outside.any():
+        raise ValueError(
+            f"token id {arr[outside][0]} outside the vocabulary [0, {n_vocab})"
+        )
+    return arr
+
+
 def validate_prob_vector(probs: np.ndarray, *, atol: float = 1e-9) -> None:
     """Raise ValueError unless ``probs`` is a distribution within ``atol``."""
     if probs.ndim != 1 or probs.size == 0:

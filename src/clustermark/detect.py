@@ -19,7 +19,7 @@ from scipy.special import gammaln, logsumexp, ndtr, ndtri
 from scipy.stats import binom
 
 from .clustering import ClusterMap
-from .core import _prf_permutation_raw, code_fingerprint, prf_r
+from .core import _prf_permutation_raw, _validate_tokens, code_fingerprint, prf_r
 from .generate import make_code
 from .reweight import STRATEGIES, ReweightConfig, aligned_score, its_score
 
@@ -193,23 +193,6 @@ class SimulatedNull:
         return {"null_mean": self.null_mean}
 
 
-def _validate_tokens(tokens, min_len: int, vocab: int) -> np.ndarray:
-    arr = np.asarray(tokens, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("token sequence must be 1-d")
-    if arr.size < min_len:
-        raise ValueError(
-            f"token sequence has {arr.size} tokens; detection needs at least "
-            f"{min_len}"
-        )
-    outside = (arr < 0) | (arr >= vocab)
-    if outside.any():
-        raise ValueError(
-            f"token id {arr[outside][0]} outside the vocabulary [0, {vocab})"
-        )
-    return arr
-
-
 def _scan(arr: np.ndarray, key: bytes, strategy: str, ngram_n: int, score,
           map_: ClusterMap | None = None, dedup: bool = False):
     """(sum, trace) of ``score(code, token) -> (r, s)`` over the steps with a
@@ -264,7 +247,7 @@ def detect_aligned(
     appeared, mirroring the generator's history rule; default scores every
     full-context step.
     """
-    arr = _validate_tokens(tokens, ngram_n + 1, map_.n_tokens)
+    arr = _validate_tokens(tokens, map_.n_tokens, ngram_n + 1)
 
     def score(code, token):
         r = prf_r(code)
@@ -288,7 +271,7 @@ def detect_kgw(
     the upper-fpr normal quantile; binomial and Hoeffding p-values are
     reported alongside.
     """
-    arr = _validate_tokens(tokens, ngram_n + 1, n_vocab)
+    arr = _validate_tokens(tokens, n_vocab, ngram_n + 1)
     green_size = math.ceil(gamma * n_vocab)
 
     def score(code, token):
@@ -308,7 +291,7 @@ def detect_unigram(
 ) -> DetectionReport:
     """KGW detector against the global key-only greenlist; every position
     is scored since no context is needed."""
-    arr = _validate_tokens(tokens, 1, n_vocab)
+    arr = _validate_tokens(tokens, n_vocab)
     green_size = math.ceil(gamma * n_vocab)
     _, inverse = _prf_permutation_raw(key, 0, (), n_vocab)
     flags = inverse[arr] < green_size
@@ -327,7 +310,7 @@ def detect_dipmark(
     """Quantile counter: score 1 iff the observed token sits in the top
     (1 - alpha_detect) of the keyed order.  Null rate is the exact green
     fraction, which equals 1 - alpha_detect whenever alpha*N is integral."""
-    arr = _validate_tokens(tokens, ngram_n + 1, n_vocab)
+    arr = _validate_tokens(tokens, n_vocab, ngram_n + 1)
     cut = math.ceil(alpha_detect * n_vocab)
 
     def score(code, token):
@@ -339,8 +322,9 @@ def detect_dipmark(
     return _report("dipmark", total, trace, null, fpr)
 
 
-# per-gather float32 elements in the ITS null: two ~8 MB temporaries
-_NULL_GATHER_ELEMENTS = 2_000_000
+# elements per row sub-block of the ITS null and of its per-step means: each
+# temporary (~0.5 MB of float32, 1 MB of float64) stays in cache
+_NULL_GATHER_ELEMENTS = 131_072
 
 
 def _its_null_structure(arr: np.ndarray, ngram_n: int):
@@ -362,33 +346,36 @@ def _its_null_samples(
 
     Each simulation redraws one unit-interval value per distinct context and
     one rank per distinct token value, mimicking a fresh key while keeping
-    the sequence's repetition structure.  Draws are made in blocks of about
-    4 000 000 elements (all simulations in one block for sequences up to
-    400 scored steps at 10 000 simulations); the block size fixes how the
-    draws interleave in the RNG stream, so changing it changes every
-    simulated null.  The gather, difference and row sums run over row
-    sub-blocks of about ``_NULL_GATHER_ELEMENTS`` elements, which bounds
-    their temporaries and leaves each row's sum unchanged."""
+    the sequence's repetition structure.  Simulations run in blocks of about
+    4 000 000 elements; the block size fixes how the draws interleave in the
+    RNG stream, so changing it changes every simulated null.  A block first
+    draws all its context values (one float32 array of at most 16 MB), then
+    walks row sub-blocks of about ``_NULL_GATHER_ELEMENTS`` elements: it
+    draws their ranks, gathers, differences and sums them (a working set of
+    about 0.5 MB).  Drawing the ranks per sub-block, in row order, consumes
+    the stream exactly as one whole-block draw would, and int32 ranks take
+    numpy's 32-bit bounded path just as int64 ones do below 2^32, so both
+    give the same ranks; each row's float64 sum keeps its bits."""
     ctx_idx, tok_idx = _its_null_structure(arr, ngram_n)
     n_ctx = int(ctx_idx.max()) + 1
     n_tok = int(tok_idx.max()) + 1
     t = ctx_idx.size
     rng = np.random.default_rng(seed)
     out = np.empty(n_sims)
+    # float32 internals: worst-case 1e-5 absolute error in a 500-term sum,
+    # orders of magnitude below the score resolution that matters
+    u_of_rank = (np.arange(n_vocab).astype(np.float32) + 0.5) / n_vocab
     block = max(1, min(n_sims, 4_000_000 // max(1, t)))
     rows = max(1, _NULL_GATHER_ELEMENTS // max(1, t))
     for lo in range(0, n_sims, block):
         hi = min(lo + block, n_sims)
-        # float32 internals: worst-case 1e-5 absolute error in a 500-term
-        # sum, orders of magnitude below the score resolution that matters
         r_draws = rng.random((hi - lo, n_ctx), dtype=np.float32)
-        u_draws = (
-            rng.integers(0, n_vocab, size=(hi - lo, n_tok)).astype(np.float32) + 0.5
-        ) / n_vocab
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
+            ranks = rng.integers(0, n_vocab, size=(b - a, n_tok), dtype=np.int32)
             diff = r_draws[a - lo : b - lo, ctx_idx]
-            diff -= u_draws[a - lo : b - lo, tok_idx]
+            # take() casts the int32 ranks faster than fancy indexing does
+            diff -= u_of_rank.take(ranks)[:, tok_idx]
             np.abs(diff, out=diff)
             out[a:b] = t - diff.sum(axis=1, dtype=np.float64)
     return out
@@ -396,7 +383,7 @@ def _its_null_samples(
 
 def _its_score_trace(tokens, key: bytes, n_vocab: int, ngram_n: int):
     """(score, trace, keyed draws) for the position-score detector."""
-    arr = _validate_tokens(tokens, ngram_n + 1, n_vocab)
+    arr = _validate_tokens(tokens, n_vocab, ngram_n + 1)
 
     def score(code, token):
         r = prf_r(code)
@@ -426,7 +413,12 @@ def detect_its(
     # per-step null means over the exact rank grid, so a valid Hoeffding
     # bound for sums of independent [0,1] terms is still available
     u_grid = (np.arange(n_vocab) + 0.5) / n_vocab
-    null_mean = float(np.sum(1.0 - np.abs(rs[:, None] - u_grid[None, :]).mean(axis=1)))
+    rows = max(1, _NULL_GATHER_ELEMENTS // n_vocab)
+    step_means = [
+        1.0 - np.abs(rs[a : a + rows, None] - u_grid[None, :]).mean(axis=1)
+        for a in range(0, rs.size, rows)
+    ]
+    null_mean = float(np.sum(np.concatenate(step_means)))
     return _report("its", score, trace, SimulatedNull(samples, null_mean, len(trace)), fpr)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterMap
+from .core import _validate_tokens
 
 __all__ = [
     "SyntheticModelConfig",
@@ -196,10 +197,8 @@ def apply_channel(
     Pass a precomputed ``neighbors`` table (from
     :func:`same_cluster_neighbors`) when calling repeatedly with one map.
     """
-    arr = np.asarray(tokens, dtype=np.int64).copy()
+    arr = _validate_tokens(tokens, map_.n_tokens)
     n = arr.size
-    if n == 0:
-        raise ValueError("cannot apply channel to an empty sequence")
     if neighbors is None:
         neighbors = same_cluster_neighbors(map_, embeddings, cfg.same_cluster_pool)
 
@@ -234,7 +233,7 @@ def attack_substitute(tokens, rate: float, n_vocab: int, seed: int = 0) -> np.nd
     uniform random token (possibly itself)."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    arr = np.asarray(tokens, dtype=np.int64).copy()
+    arr = _validate_tokens(tokens, n_vocab).copy()
     rng = np.random.default_rng(seed)
     hit = rng.random(arr.size) < rate
     arr[hit] = rng.integers(0, n_vocab, size=int(hit.sum()))
@@ -258,7 +257,7 @@ def attack_insert_delete(
     after it with p_ins.  Desynchronizes n-gram contexts."""
     if not 0.0 <= p_ins <= 1.0 or not 0.0 <= p_del <= 1.0:
         raise ValueError("rates must be in [0, 1]")
-    arr = np.asarray(tokens, dtype=np.int64)
+    arr = _validate_tokens(tokens, n_vocab)
     rng = np.random.default_rng(seed)
     drop = rng.random(arr.size) < p_del
     ins = rng.random(arr.size) < p_ins

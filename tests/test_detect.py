@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,13 +19,40 @@ from clustermark.detect import (
     hoeffding_pvalue,
     hoeffding_threshold,
 )
-from clustermark.core import WatermarkCode, _prf_permutation_raw, prf_r
+from clustermark.core import WatermarkCode, _prf_permutation_raw, clear_prf_caches, prf_r
 from clustermark.generate import GenerationSession, generate
 from clustermark.reweight import ReweightConfig
 
 from conftest import ConstantModel, balanced_cluster_map
 
 KEY = b"detect-tests"
+MOTIF = np.resize(np.array([3, 47, 91, 3, 47, 91, 3, 200]), 501)
+
+
+def _whole_block_null(arr, ngram_n, n_vocab, sims, seed):
+    """Reference ITS null: each 4 000 000-element block's ranks drawn as one
+    int64 array and its whole gather summed at once."""
+    ctx_idx, tok_idx = _its_null_structure(arr, ngram_n)
+    t = ctx_idx.size
+    draws = np.random.default_rng(seed)
+    block = min(sims, 4_000_000 // t)
+    ref = []
+    for lo in range(0, sims, block):
+        n = min(block, sims - lo)
+        r = draws.random((n, ctx_idx.max() + 1), dtype=np.float32)
+        u = (draws.integers(0, n_vocab, size=(n, tok_idx.max() + 1))
+             .astype(np.float32) + 0.5) / n_vocab
+        ref.append(t - np.abs(r[:, ctx_idx] - u[:, tok_idx]).sum(axis=1, dtype=np.float64))
+    return np.concatenate(ref)
+
+
+def _peak_traced_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 class TestHoeffding:
@@ -294,6 +322,42 @@ class TestDetectIts:
             ref.append(t - np.abs(r[:, ctx_idx] - u[:, tok_idx]).sum(axis=1, dtype=np.float64))
         null = _its_null_samples(arr, 1, 1024, sims, 5)
         assert null.tobytes() == np.concatenate(ref).tobytes()
+
+    @pytest.mark.parametrize("n_vocab", [500, 1024, 4096])
+    @pytest.mark.parametrize("t", [49, 499, "motif"])
+    def test_null_matches_whole_block_stream(self, rng, n_vocab, t):
+        # int32 rank draws per row sub-block must consume the RNG stream
+        # exactly as one int64 draw per block did
+        arr = MOTIF if t == "motif" else rng.integers(0, n_vocab, t + 1)
+        null = _its_null_samples(arr, 1, n_vocab, 10_000, 5)
+        assert null.tobytes() == _whole_block_null(arr, 1, n_vocab, 10_000, 5).tobytes()
+
+    def test_null_mean_matches_whole_matrix(self, rng):
+        n_vocab = 4096
+        seq = rng.integers(0, n_vocab, 501)
+        rep = detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=100)
+        _, trace, rs = _its_score_trace(seq, KEY, n_vocab, 1)
+        u_grid = (np.arange(n_vocab) + 0.5) / n_vocab
+        ref = float(np.sum(1.0 - np.abs(rs[:, None] - u_grid[None, :]).mean(axis=1)))
+        gap = rep.score - ref
+        p_ref = math.exp(-2.0 * gap * gap / len(trace)) if gap > 0 else 1.0
+        assert rep.extra["null_mean"].hex() == ref.hex()
+        assert rep.p_hoeffding.hex() == p_ref.hex()
+
+    def test_null_memory_bounded_at_codec_vocabulary(self, rng):
+        # the whole-block null held ~58 MB here: int64 ranks, their float32
+        # copy and whole-block gathers besides the 16 MB float32 draw block
+        n_vocab = 4096
+        seq = rng.integers(0, n_vocab, 501)
+        assert _peak_traced_mb(
+            lambda: _its_null_samples(seq, 1, n_vocab, 10_000, 0)) < 24
+        # the keyed permutations detection fills belong to the PRF cache,
+        # not to the null: fill it before measuring
+        clear_prf_caches()
+        _its_score_trace(seq, KEY, n_vocab, 1)
+        assert _peak_traced_mb(
+            lambda: detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=10_000)) < 24
+        clear_prf_caches()
 
     def test_p_value_floor(self, rng):
         n_vocab = 30

@@ -19,6 +19,7 @@ from clustermark.simenv import (
     channel_preset,
     same_cluster_neighbors,
 )
+from conftest import balanced_cluster_map
 
 KEY = b"simenv-tests"
 
@@ -233,3 +234,18 @@ class TestAttacks:
             attack_substitute(seq, 1.5, 10)
         with pytest.raises(ValueError):
             attack_insert_delete(seq, -0.1, 0.0, 10)
+
+
+class TestTokenValidation:
+    @pytest.mark.parametrize("bad", [-3, 700])
+    @pytest.mark.parametrize("op", [
+        lambda toks, m, emb: apply_channel(toks, m, emb, channel_preset("longform_qa")),
+        lambda toks, m, emb: attack_substitute(toks, 0.3, 500, seed=1),
+        lambda toks, m, emb: attack_insert_delete(toks, 0.05, 0.05, 500, seed=1),
+    ], ids=["channel", "substitute", "insert_delete"])
+    def test_rejects_ids_outside_vocabulary(self, op, bad):
+        # before validation, -3 and 700 passed through unchanged, and 700
+        # made the channel raise a bare IndexError
+        emb = np.zeros((500, 2))
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            op([1, 2, bad, 4, 5] * 20, balanced_cluster_map(500, 20), emb)
