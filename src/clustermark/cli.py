@@ -161,6 +161,11 @@ def _cmd_detect(args, cfg: ExperimentConfig) -> int:
     map_ = None
     if STRATEGIES[method.config.strategy].context == "cluster":
         map_ = load_cluster_map(args.map_path) if args.map_path else fit_environment(cfg)[2]
+        if (map_.n_tokens, map_.h) != (cfg.model.n_vocab, method.config.h):
+            raise ValueError(
+                f"cluster map has n_tokens={map_.n_tokens}, h={map_.h}; the config "
+                f"has n_vocab={cfg.model.n_vocab}, h={method.config.h}"
+            )
     report = detect_method(method.config, method.ngram_n, tokens, cfg.key, map_,
                            cfg.model.n_vocab, args.fpr, null_sims=cfg.its_null_sims)
     print(json.dumps(report.to_json_dict(), indent=2))

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _validate_tokens
+
 __all__ = [
     "ClusterMap",
     "MismatchReport",
@@ -268,6 +270,8 @@ def mismatch_rates(
     b = np.asarray(retokenized, dtype=np.int64)
     if a.size == 0 or b.size == 0:
         raise ValueError("mismatch_rates requires non-empty sequences")
+    a = _validate_tokens(a, map_.n_tokens)
+    b = _validate_tokens(b, map_.n_tokens)
     truncated = a.size != b.size
     m = min(a.size, b.size)
     a, b = a[:m], b[:m]

@@ -20,6 +20,14 @@ is drawn from this stream:
   take the next word u; if u >= 2^64 - (2^64 mod m) it is rejected and
   consumed, and the next word serves the same i (a power-of-two m rejects
   nothing); otherwise swap positions i and u mod m.
+
+A code's cached order stores the swap targets j_i = u mod m, not the
+permutation.  A detector that needs only inverse[token] follows the token
+through them: the element at position p ends at the first later step i > p
+(going down) with j_i = p; if there is none, step p moves it to j_p, and
+from there the same rule applies to the steps below p, until j_p = p or
+p = 0 leaves it in place.  The permutation and its inverse are built from
+the same targets when first read, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -127,17 +135,16 @@ def _sha256_words(prefix: bytes, n_words: int):
         yield np.frombuffer(b"".join(digests), ">u8").astype(np.uint64)
 
 
-def _fisher_yates(n: int, batches) -> list[int]:
-    """Permutation of [0, n) shuffled by the uint64 word arrays ``batches``.
+def _draw_targets(n: int, batches) -> np.ndarray:
+    """Fisher-Yates swap targets j_i for i = n-1 down to 1, drawn from the
+    uint64 word arrays ``batches``, in the narrowest unsigned dtype.
 
     The rejection tests and modulos run as array operations over each
-    batch up to its first rejected word; only the swaps stay sequential.
-    Rules as in the module docstring.  Taking the batches as an argument
-    lets a test feed rejected words, which SHA-256 output almost never is.
+    batch up to its first rejected word.  Rules as in the module docstring.
     """
     m = np.arange(n, 1, -1, dtype=np.uint64)
     highest_ok = ~((~m + np.uint64(1)) % m)  # 2^64 - 1 - (2^64 mod m)
-    targets = np.empty(m.size, dtype=np.uint64)
+    targets = np.empty(m.size, dtype=np.min_scalar_type(n - 1))
     done, words = 0, np.empty(0, dtype=np.uint64)
     while done < m.size:
         if words.size == 0:
@@ -149,27 +156,94 @@ def _fisher_yates(n: int, batches) -> list[int]:
         targets[done : done + take] = u[:take] % m[done : done + take]
         done += take
         words = words[take + 1 if rejected.size else take :]
+    return targets
 
-    out = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
-        out[i], out[j] = out[j], out[i]
-    return out
+
+def _fisher_yates(n: int, batches) -> list[int]:
+    """Permutation of [0, n) shuffled by the uint64 word arrays ``batches``.
+
+    Taking the batches as an argument lets a test feed rejected words,
+    which SHA-256 output almost never is.
+    """
+    return _KeyedOrder(n, _draw_targets(n, batches)).perm.tolist()
+
+
+class _KeyedOrder:
+    """One code's keyed permutation of [0, n), materialised on demand.
+
+    It holds the Fisher-Yates swap targets until ``perm`` or ``inverse`` is
+    first read, which builds both as read-only int64 arrays and drops the
+    targets.  ``rank`` reads one entry of the inverse without building it.
+    """
+
+    __slots__ = ("n", "_targets", "_perm", "_inverse")
+
+    def __init__(self, n: int, targets: np.ndarray):
+        self.n = n
+        self._targets = targets
+        self._perm = self._inverse = None
+
+    def _build(self) -> None:
+        targets = self._targets
+        if targets is None:
+            return
+        out = list(range(self.n))
+        for i, j in zip(range(self.n - 1, 0, -1), targets.tolist()):
+            out[i], out[j] = out[j], out[i]
+        perm = np.array(out, dtype=np.int64)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(self.n, dtype=np.int64)
+        perm.setflags(write=False)
+        inverse.setflags(write=False)
+        # publish the arrays before dropping the targets: rank() checks the
+        # targets first
+        self._perm, self._inverse = perm, inverse
+        self._targets = None
+
+    @property
+    def perm(self) -> np.ndarray:
+        if self._perm is None:
+            self._build()
+        return self._perm
+
+    @property
+    def inverse(self) -> np.ndarray:
+        if self._inverse is None:
+            self._build()
+        return self._inverse
+
+    def rank(self, token: int) -> int:
+        """Position of ``token`` in the permutation: ``inverse[token]``."""
+        targets = self._targets
+        if targets is None:
+            return int(self._inverse[token])
+        # step i is targets[n-1-i]; the element at position p is last moved
+        # by the first later step (i > p) with j_i == p, which puts it at i,
+        # or else by step p itself, which moves it down to j_p
+        last = self.n - 1
+        pos, k = int(token), 0  # targets[k:] are the steps not yet applied
+        while True:
+            hit = targets[k : last - pos] == pos
+            # a boolean argmax stops at the first True
+            if hit.size and hit[first := int(hit.argmax())]:
+                return last - k - first
+            if pos == 0:
+                return 0
+            j = int(targets[last - pos])
+            if j == pos:
+                return pos
+            k, pos = last - pos + 1, j
 
 
 @lru_cache(maxsize=1 << 15)
 def _prf_permutation_raw(
     key: bytes, ngram_n: int, context: tuple[int, ...], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(permutation, inverse permutation) of [0, n), both read-only arrays."""
+) -> _KeyedOrder:
+    """The keyed order of [0, n) for one code, its swap targets drawn."""
     if n < 1:
         raise ValueError("permutation size must be >= 1")
     prefix = _encode(key, _DOMAIN_PERMUTATION, ngram_n, context)
-    out = np.array(_fisher_yates(n, _sha256_words(prefix, n - 1)), dtype=np.int64)
-    inverse = np.empty_like(out)
-    inverse[out] = np.arange(n, dtype=np.int64)
-    out.setflags(write=False)
-    inverse.setflags(write=False)
-    return out, inverse
+    return _KeyedOrder(n, _draw_targets(n, _sha256_words(prefix, n - 1)))
 
 
 def prf_permutation(code: WatermarkCode, n: int) -> np.ndarray:
@@ -180,8 +254,12 @@ def prf_permutation(code: WatermarkCode, n: int) -> np.ndarray:
     four big-endian uint64.  For i = n-1 .. 1 and m = i + 1, a word
     u >= 2^64 - (2^64 mod m) is rejected and consumed; otherwise positions i
     and u mod m swap.  The stream is fixed across versions.
+
+    Detectors that need one token's rank read it from the swap targets
+    without performing the swaps (``_KeyedOrder.rank``); the ranks are the
+    ones this permutation gives.
     """
-    return _prf_permutation_raw(code.key, code.ngram_n, code.context, n)[0]
+    return _prf_permutation_raw(code.key, code.ngram_n, code.context, n).perm
 
 
 def clear_prf_caches() -> None:

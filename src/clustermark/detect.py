@@ -275,8 +275,8 @@ def detect_kgw(
     green_size = math.ceil(gamma * n_vocab)
 
     def score(code, token):
-        _, inverse = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
-        return math.nan, 1.0 if inverse[token] < green_size else 0.0
+        order = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
+        return math.nan, 1.0 if order.rank(token) < green_size else 0.0
 
     total, trace = _scan(arr, key, "kgw", ngram_n, score)
     return _report("kgw", total, trace, NormalNull(len(trace), gamma), fpr)
@@ -293,7 +293,7 @@ def detect_unigram(
     is scored since no context is needed."""
     arr = _validate_tokens(tokens, n_vocab)
     green_size = math.ceil(gamma * n_vocab)
-    _, inverse = _prf_permutation_raw(key, 0, (), n_vocab)
+    inverse = _prf_permutation_raw(key, 0, (), n_vocab).inverse
     flags = inverse[arr] < green_size
     trace = [(math.nan, int(x), float(s)) for x, s in zip(arr, flags)]
     return _report("unigram", int(flags.sum()), trace, NormalNull(arr.size, gamma), fpr)
@@ -314,8 +314,8 @@ def detect_dipmark(
     cut = math.ceil(alpha_detect * n_vocab)
 
     def score(code, token):
-        _, inverse = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
-        return math.nan, 1.0 if inverse[token] >= cut else 0.0
+        order = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
+        return math.nan, 1.0 if order.rank(token) >= cut else 0.0
 
     total, trace = _scan(arr, key, "dipmark", ngram_n, score)
     null = BinomialNull(len(trace), (n_vocab - cut) / n_vocab)

@@ -258,7 +258,7 @@ def kgw_reweight(
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
     n = np.asarray(dist).shape[0]
-    perm = _prf_permutation_raw(code.key, code.ngram_n, code.context, n)[0]
+    perm = _prf_permutation_raw(code.key, code.ngram_n, code.context, n).perm
     green_mask = np.zeros(n, dtype=bool)
     green_mask[perm[: math.ceil(gamma * n)]] = True
     return _boost_green(dist, green_mask, delta)
@@ -271,7 +271,7 @@ def unigram_reweight(
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
     n = np.asarray(dist).shape[0]
-    perm = _prf_permutation_raw(key, 0, (), n)[0]
+    perm = _prf_permutation_raw(key, 0, (), n).perm
     green_mask = np.zeros(n, dtype=bool)
     green_mask[perm[: math.ceil(gamma * n)]] = True
     return _boost_green(dist, green_mask, delta)
@@ -294,7 +294,7 @@ def dipmark_reweight(dist: np.ndarray, code: WatermarkCode, alpha: float) -> np.
         raise ValueError("alpha must be in [0, 0.5]")
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
-    perm, _ = _prf_permutation_raw(code.key, code.ngram_n, code.context, n)
+    perm = _prf_permutation_raw(code.key, code.ngram_n, code.context, n).perm
     new_perm = _dipmark_permuted(dist[perm], alpha)
     out = np.empty_like(dist)
     out[perm] = new_perm
@@ -306,7 +306,7 @@ def its_sample(dist: np.ndarray, code: WatermarkCode) -> int:
     r = prf_r(code); fully deterministic given the code."""
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
-    perm, _ = _prf_permutation_raw(code.key, code.ngram_n, code.context, n)
+    perm = _prf_permutation_raw(code.key, code.ngram_n, code.context, n).perm
     r = prf_r(code)
     cdf = np.cumsum(dist[perm])
     idx = int(np.searchsorted(cdf, r, side="right"))
@@ -319,8 +319,8 @@ def its_sample(dist: np.ndarray, code: WatermarkCode) -> int:
 
 def its_score(r: float, token: int, code: WatermarkCode, n_vocab: int) -> float:
     """Closeness of r to the token's keyed rank position, in [0, 1]."""
-    _, inverse = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab)
-    u = (float(inverse[token]) + 0.5) / n_vocab
+    rank = _prf_permutation_raw(code.key, code.ngram_n, code.context, n_vocab).rank(token)
+    u = (rank + 0.5) / n_vocab
     return 1.0 - abs(r - u)
 
 
@@ -328,7 +328,7 @@ def its_marginal(dist: np.ndarray, code: WatermarkCode) -> np.ndarray:
     """Exact marginal of its_sample integrated over r (CDF segment widths)."""
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
-    perm, _ = _prf_permutation_raw(code.key, code.ngram_n, code.context, n)
+    perm = _prf_permutation_raw(code.key, code.ngram_n, code.context, n).perm
     p_perm = dist[perm]
     cdf = np.cumsum(p_perm)
     widths = np.empty_like(p_perm)

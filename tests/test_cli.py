@@ -114,6 +114,29 @@ class TestGenerateDetect:
                      "--tokens", str(toks)]) == 2
         assert "outside the vocabulary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, field, value, tokens", [
+        ("model", "n_vocab", 120, [3, 100, 110, 115, 7, 9]),
+        ("cluster", "h", 6, [3, 10, 11, 15, 7, 9]),
+    ], ids=["n_vocab", "h"])
+    def test_map_mismatching_config_is_usage_error(self, tiny_config_path, tmp_path,
+                                                   capsys, section, field, value, tokens):
+        # a map fitted for another vocabulary scores ids the config's model
+        # never emits; one with another h judges against the wrong null rate
+        other = json.loads(tiny_config_path.read_text())
+        other[section][field] = value
+        if field == "h":
+            other["methods"][0]["h"] = value
+        other_path = tmp_path / "other.json"
+        other_path.write_text(json.dumps(other))
+        out = tmp_path / "other"
+        assert main(["cluster", "--config", str(other_path), "--out", str(out)]) == 0
+        toks = tmp_path / "toks.txt"
+        toks.write_text("\n".join(map(str, tokens)))
+        capsys.readouterr()
+        assert main(["detect", "--config", str(tiny_config_path), "--tokens", str(toks),
+                     "--map", str(out / "cluster_map.json")]) == 2
+        assert "cluster map has" in capsys.readouterr().err
+
     def test_missing_tokens_file_is_io_error(self, tiny_config_path, tmp_path):
         assert main(["detect", "--config", str(tiny_config_path),
                      "--tokens", str(tmp_path / "nope.txt")]) == 3

@@ -124,6 +124,16 @@ class TestMismatchRates:
             mismatch_rates([], [1], m)
 
 
+    @pytest.mark.parametrize("bad", [-3, 10])
+    @pytest.mark.parametrize("side", ["original", "retokenized"])
+    def test_rejects_ids_outside_vocabulary(self, side, bad):
+        # a negative id would read another token's cluster
+        m = balanced_cluster_map(10, 2)
+        seqs = {"original": [1, 2, 3, 4], "retokenized": [1, 2, 3, 4]}
+        seqs[side][2] = bad
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            mismatch_rates(seqs["original"], seqs["retokenized"], m)
+
 class TestPersistence:
     def test_round_trip_identity(self, rng, tmp_path):
         emb = rng.normal(size=(64, 6))

@@ -9,8 +9,11 @@ from scipy.stats import kstest
 
 from clustermark.core import (
     WatermarkCode,
+    _draw_targets,
     _fisher_yates,
+    _KeyedOrder,
     _prf_permutation_raw,
+    clear_prf_caches,
     code_fingerprint,
     prf_permutation,
     prf_r,
@@ -118,6 +121,35 @@ def _bound(m):
     return 2**64 - 2**64 % m
 
 
+def _hand_batches():
+    """n = 7 draws with m = 7, 6, 5, 4, 3, 2; the batches play hashed blocks."""
+    return [
+        [_bound(7), 2**64 - 1, 123, _bound(6)],  # two in a row; last word
+        [_bound(6) + 2, 999, 2**64 - 1, 77],     # 2^64 mod 5 = 1
+        [2**64 - 1, _bound(3) - 1, 2**64 - 1],   # powers of two reject nothing
+        [0],                                     # never needed
+    ]
+
+
+def _dense_batches(seed):
+    """(n, batches) of words near 2^64, rejected about half the time; batch
+    sizes from 1 to 5 put rejections at every position of a batch."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    stream = np.uint64(2**64 - 1) - rng.integers(0, 2 * n, size=20 * n, dtype=np.uint64)
+    cuts = np.cumsum(rng.integers(1, 6, size=stream.size))
+    return n, [b for b in np.split(stream, cuts) if b.size]
+
+
+def _assert_ranks(order, ref):
+    """Every rank of ``order`` is the reference permutation's inverse, both
+    from the swap targets and once the permutation is built."""
+    expected = np.argsort(ref).tolist()
+    assert [order.rank(x) for x in range(ref.size)] == expected
+    assert order.perm.tolist() == ref.tolist()
+    assert [order.rank(x) for x in range(ref.size)] == expected
+
+
 PERM_CODES = [(KEY, 1, (42,)), (KEY, 1, (0,)), (KEY, 1, (2**32 - 1,)),
               (b"other", 3, (1, 2, 3)), (KEY, 3, (500, 0, 7)), (KEY, 0, ())]
 
@@ -126,7 +158,8 @@ class TestPrfPermutation:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500, 1024, 4096])
     def test_matches_scalar_reference(self, n):
         for key, ngram_n, context in PERM_CODES:
-            perm, inverse = _prf_permutation_raw(key, ngram_n, context, n)
+            order = _prf_permutation_raw(key, ngram_n, context, n)
+            perm, inverse = order.perm, order.inverse
             ref = _reference_shuffle(n, _reference_words(key, ngram_n, context))
             assert perm.tolist() == ref.tolist()
             assert inverse.tolist() == np.argsort(ref).tolist()
@@ -139,13 +172,7 @@ class TestPrfPermutation:
             "b28d15144ae37958798b1c4603f5ce4c2d0ac6937c658193034db3bb58bd7c6d")
 
     def test_rejected_words_are_consumed(self):
-        # n = 7 draws with m = 7, 6, 5, 4, 3, 2; batches play hashed blocks
-        batches = [
-            [_bound(7), 2**64 - 1, 123, _bound(6)],  # two in a row; last word
-            [_bound(6) + 2, 999, 2**64 - 1, 77],     # 2^64 mod 5 = 1
-            [2**64 - 1, _bound(3) - 1, 2**64 - 1],   # powers of two reject nothing
-            [0],                                     # never needed
-        ]
+        batches = _hand_batches()
         assert 2**64 - 1 >= _bound(5)
         stream = iter([np.array(b, dtype=np.uint64) for b in batches])
         perm = _fisher_yates(7, stream)
@@ -155,18 +182,32 @@ class TestPrfPermutation:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dense_rejections_match_scalar_reference(self, seed):
-        # words near 2^64 are rejected about half the time; batch sizes
-        # from 1 to 5 put rejections at every position of a batch
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 200))
-        stream = np.uint64(2**64 - 1) - rng.integers(0, 2 * n, size=20 * n, dtype=np.uint64)
-        cuts = np.cumsum(rng.integers(1, 6, size=stream.size))
-        batches = [b for b in np.split(stream, cuts) if b.size]
-        words = stream.tolist()
+        n, batches = _dense_batches(seed)
+        words = np.concatenate(batches).tolist()
         rest = iter(words)
         ref = _reference_shuffle(n, rest)
         assert _fisher_yates(n, iter(batches)) == ref.tolist()
         assert len(words) - len(list(rest)) > n - 1  # some word was rejected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500, 1024])
+    def test_rank_matches_scalar_reference(self, n):
+        clear_prf_caches()
+        for key, ngram_n, context in PERM_CODES:
+            ref = _reference_shuffle(n, _reference_words(key, ngram_n, context))
+            _assert_ranks(_prf_permutation_raw(key, ngram_n, context, n), ref)
+        clear_prf_caches()
+
+    def test_rank_from_rejected_words(self):
+        batches = _hand_batches()
+        order = _KeyedOrder(7, _draw_targets(7, iter(np.array(b, dtype=np.uint64)
+                                                     for b in batches)))
+        _assert_ranks(order, _reference_shuffle(7, itertools.chain.from_iterable(batches)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_from_dense_rejections(self, seed):
+        n, batches = _dense_batches(seed)
+        order = _KeyedOrder(n, _draw_targets(n, iter(batches)))
+        _assert_ranks(order, _reference_shuffle(n, iter(np.concatenate(batches).tolist())))
 
     def test_n1_is_identity(self):
         assert prf_permutation(code(), 1).tolist() == [0]

@@ -207,7 +207,7 @@ class TestDetectKgwUnigram:
         rep = detect_kgw(seq, KEY, n_vocab, gamma=0.5, ngram_n=1, fpr=0.01)
         g = 0
         for i in range(1, len(seq)):
-            perm = _prf_permutation_raw(KEY, 1, (int(seq[i - 1]),), n_vocab)[0]
+            perm = _prf_permutation_raw(KEY, 1, (int(seq[i - 1]),), n_vocab).perm
             green = set(perm[:25].tolist())
             g += int(seq[i]) in green
         assert rep.score == g
@@ -215,7 +215,7 @@ class TestDetectKgwUnigram:
     def test_z_statistic_examples(self):
         # g = gamma*t -> p_normal = 0.5; g = t with gamma 0.5, t=100 -> z=10
         n_vocab = 10
-        _, inverse = _prf_permutation_raw(KEY, 0, (), n_vocab)
+        inverse = _prf_permutation_raw(KEY, 0, (), n_vocab).inverse
         greens = [t for t in range(n_vocab) if inverse[t] < 5]
         reds = [t for t in range(n_vocab) if inverse[t] >= 5]
         seq = (greens[:1] + reds[:1]) * 50
@@ -244,7 +244,7 @@ class TestDetectDipmark:
         cut = math.ceil(alpha * n_vocab)
         s = 0
         for i in range(1, len(seq)):
-            perm = _prf_permutation_raw(KEY, 1, (int(seq[i - 1]),), n_vocab)[0]
+            perm = _prf_permutation_raw(KEY, 1, (int(seq[i - 1]),), n_vocab).perm
             rank = int(np.flatnonzero(perm == seq[i])[0])
             s += rank >= cut
         assert rep.score == s
@@ -359,11 +359,41 @@ class TestDetectIts:
             lambda: detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=10_000)) < 24
         clear_prf_caches()
 
+    def test_cold_detection_memory_bounded_at_codec_vocabulary(self, rng):
+        # each fresh context used to cache a whole int64 permutation and its
+        # inverse (~30 MB here) to read one rank
+        n_vocab = 4096
+        seq = rng.integers(0, n_vocab, 501)
+        clear_prf_caches()
+        assert _peak_traced_mb(
+            lambda: detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=10_000)) < 32
+        clear_prf_caches()
+
     def test_p_value_floor(self, rng):
         n_vocab = 30
         seq = rng.integers(0, n_vocab, 100)
         rep = detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=500)
         assert rep.p_exact >= 1.0 / 501
+
+
+class TestRankCache:
+    @pytest.mark.parametrize("detect, ngram_n", [
+        (lambda seq: detect_kgw(seq, KEY, 300, ngram_n=2), 2),
+        (lambda seq: detect_dipmark(seq, KEY, 300), 1),
+        (lambda seq: detect_its(seq, KEY, 300, null_sims=200), 1),
+    ], ids=["kgw", "dipmark", "its"])
+    def test_cold_and_built_orders_give_equal_reports(self, rng, detect, ngram_n):
+        seq = rng.integers(0, 300, 200)
+        clear_prf_caches()
+        cold = detect(seq)
+        clear_prf_caches()
+        for i in range(ngram_n, seq.size):
+            context = tuple(int(v) for v in seq[i - ngram_n : i])
+            _prf_permutation_raw(KEY, ngram_n, context, 300).perm
+        built = detect(seq)
+        clear_prf_caches()
+        assert built.to_json_dict() == cold.to_json_dict()
+        assert built.trace == cold.trace
 
 
 class TestTokenValidation:

@@ -223,7 +223,7 @@ class TestKgw:
         dist = np.array([0.5, 0.5])
         c = code(context=(5,))
         out = kgw_reweight(dist, c, delta=math.log(3.0), gamma=0.5)
-        perm = _prf_permutation_raw(KEY, 1, (5,), 2)[0]
+        perm = _prf_permutation_raw(KEY, 1, (5,), 2).perm
         expected = np.empty(2)
         expected[perm[0]] = 0.75  # boosted: 3*0.5 / (3*0.5 + 0.5)
         expected[perm[1]] = 0.25
@@ -264,7 +264,7 @@ class TestDipmark:
     def test_alpha_half_two_tokens(self):
         c = code(context=(3,))
         out = dipmark_reweight(np.array([0.5, 0.5]), c, 0.5)
-        perm = _prf_permutation_raw(KEY, 1, (3,), 2)[0]
+        perm = _prf_permutation_raw(KEY, 1, (3,), 2).perm
         # all mass moves to the later token of the permuted order
         assert out[perm[1]] == pytest.approx(1.0, abs=1e-12)
         assert out[perm[0]] == pytest.approx(0.0, abs=1e-12)
@@ -297,7 +297,7 @@ class TestDipmark:
         dist = rng.dirichlet(np.ones(20))
         alpha = 0.3
         c = code(context=(9,))
-        perm = _prf_permutation_raw(KEY, 1, (9,), 20)[0]
+        perm = _prf_permutation_raw(KEY, 1, (9,), 20).perm
         cdf = np.cumsum(dist[perm])
         lo = np.maximum(cdf - alpha, 0.0)
         hi = np.maximum(cdf - (1 - alpha), 0.0)
@@ -333,7 +333,7 @@ class TestIts:
         best = min(range(500), key=lambda i: prf_r(code(context=(i,))))
         c = code(context=(best,))
         assert prf_r(c) < 0.02
-        perm = _prf_permutation_raw(KEY, 1, (best,), n)[0]
+        perm = _prf_permutation_raw(KEY, 1, (best,), n).perm
         dist = np.zeros(n)
         dist[perm[0]] = 0.0  # force skipping a zero-mass head is separate
         dist[perm[1]] = 0.5
@@ -351,7 +351,7 @@ class TestIts:
         for i in range(40):
             c = code(context=(i, 7))
             dist = rng.dirichlet(np.full(30, 0.4))
-            perm = _prf_permutation_raw(KEY, 2, (i, 7), 30)[0]
+            perm = _prf_permutation_raw(KEY, 2, (i, 7), 30).perm
             r = prf_r(c)
             acc = 0.0
             expected = None
@@ -369,7 +369,7 @@ class TestIts:
 
     def test_score_uses_rank_position(self, rng):
         c = code(context=(11,))
-        perm = _prf_permutation_raw(KEY, 1, (11,), 10)[0]
+        perm = _prf_permutation_raw(KEY, 1, (11,), 10).perm
         for token in range(10):
             rank = int(np.flatnonzero(perm == token)[0])
             u = (rank + 0.5) / 10
