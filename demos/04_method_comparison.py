@@ -16,7 +16,6 @@ cfg = default_config(
     channel=channel_preset("longform_qa"),
     trials=60,
     seq_len=500,
-    its_null_sims=4000,
 )
 table = run_detectability(cfg, threads=2)
 

@@ -167,7 +167,7 @@ def _cmd_detect(args, cfg: ExperimentConfig) -> int:
                 f"has n_vocab={cfg.model.n_vocab}, h={method.config.h}"
             )
     report = detect_method(method.config, method.ngram_n, tokens, cfg.key, map_,
-                           cfg.model.n_vocab, args.fpr, null_sims=cfg.its_null_sims)
+                           cfg.model.n_vocab, args.fpr)
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK
 

@@ -3,15 +3,21 @@
 Every detector consumes only the observed token sequence, the secret key,
 and (for the cluster-aligned method) the stored cluster map.  It sums a
 per-step score and judges the sum against the strategy's null law: exact
-binomial, its normal approximation, or a key-resampling simulation for the
-position-score sampler.  Each law gives a tight and a Hoeffding threshold
-at any false-positive rate, and the report carries its law, so one
-detection serves a whole grid of rates.
+binomial, its normal approximation, or, for the position-score sampler, the
+score's key-resampling law.  That law is a sum of independent per-context
+blocks; each block's law depends only on the vocabulary size and the
+counts of the distinct tokens that follow the context, so it is computed
+once per process, and a sequence's law is the inverse transform of the
+product of its blocks' characteristic functions (:class:`ItsNull`).  Each
+law gives a tight and a Hoeffding threshold at any false-positive rate, and
+the report carries its law, so one detection serves a whole grid of rates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +48,8 @@ class DetectionReport:
     """Detection outcome: score, threshold at the requested FPR, p-values.
 
     ``p_hoeffding`` is the guaranteed (conservative) tail bound;
-    ``p_exact`` the exact binomial tail where the null is binomial, or a
-    Monte-Carlo estimate for the position-score detector.  ``trace`` holds
+    ``p_exact`` the exact binomial tail where the null is binomial, or the
+    key-resampling law's tail for the position-score detector.  ``trace`` holds
     per-step (r, token, score); r is NaN for detectors that use no keyed
     draw.  ``null`` is the score's null law, which gives thresholds at
     other false-positive rates.
@@ -59,7 +65,7 @@ class DetectionReport:
     fpr: float
     trace: list[tuple[float, int, float]] = field(repr=False, default_factory=list)
     extra: dict = field(default_factory=dict)
-    null: BinomialNull | SimulatedNull | None = field(
+    null: BinomialNull | ItsNull | None = field(
         repr=False, compare=False, default=None)
 
     def to_json_dict(self) -> dict:
@@ -164,33 +170,6 @@ class NormalNull(BinomialNull):
     def extra(self, score: float) -> dict:
         zstat = (score - self.rate * self.t) / self.sd
         return {"zstat": zstat, "p_normal": float(ndtr(-zstat))}
-
-
-class SimulatedNull:
-    """Monte-Carlo null of the position score from key-resampled
-    ``samples``.  No closed-form bound gives its thresholds, so ``tight``
-    and ``hoeffding`` are both the simulated quantile; the Hoeffding
-    p-value uses the per-step null means summed in ``null_mean``."""
-
-    def __init__(self, samples: np.ndarray, null_mean: float, t: int):
-        self.samples = samples
-        self.null_mean = null_mean
-        self.t = t
-
-    def tight(self, fpr: float) -> float:
-        return float(np.quantile(self.samples, 1.0 - fpr))
-
-    hoeffding = threshold = tight
-
-    def p_values(self, score: float) -> tuple[float, float]:
-        """(Hoeffding bound, Monte-Carlo tail) at ``score``."""
-        gap = score - self.null_mean
-        p_hoeffding = math.exp(-2.0 * gap * gap / self.t) if gap > 0 else 1.0
-        p_mc = (1.0 + float(np.sum(self.samples >= score))) / (1.0 + self.samples.size)
-        return p_hoeffding, p_mc
-
-    def extra(self, score: float) -> dict:
-        return {"null_mean": self.null_mean}
 
 
 def _scan(arr: np.ndarray, key: bytes, strategy: str, ngram_n: int, score,
@@ -322,63 +301,263 @@ def detect_dipmark(
     return _report("dipmark", total, trace, null, fpr)
 
 
-# elements per row sub-block of the ITS null and of its per-step means: each
-# temporary (~0.5 MB of float32, 1 MB of float64) stays in cache
-_NULL_GATHER_ELEMENTS = 131_072
+# elements per working chunk of the ITS law's draws and of its per-step means
+# (~1 MB of float64 each)
+_CHUNK_ELEMENTS = 1 << 17
+# lattice step of a sampled block law; a block of n > 4 steps uses the step
+# times the power of two at or above n/4, so no law exceeds 4097 cells
+_LATTICE = 2.0 ** -10
+# seeded draws per sampled block law
+_BLOCK_DRAWS = 1 << 16
+# cells of the sequence law's window
+_CELLS = 1 << 14
+# null mass the window may leave outside it, by the block Hoeffding bound
+_ALIAS = 1e-20
+# spectrum modulus treated as zero when truncating the spectrum
+_SPECTRUM_TOL = 1e-15
+# resolution of the inverted tail, and so the floor of p_exact
+_P_FLOOR = 1e-13
+# SeedSequence domain of the block-law draws ("ITSB")
+_DOMAIN_BLOCK = 0x49545342
+
+
+@dataclass(frozen=True, eq=False)
+class ItsNull:
+    """Key-resampling null law of the position score.
+
+    Under a fresh key, steps that share a context share one draw r and one
+    keyed order, and distinct contexts are independent, so the score is a
+    sum of independent per-context blocks F = sum_j m_j (1 - |r - u_j|),
+    with r uniform and u_j the grid positions (rank + 0.5)/N of the context's
+    distinct next tokens, m_j their counts.  ``tails[k]`` is the law's mass
+    above ``lo + k * step``: cells of width ``step`` over a window that
+    leaves out at most 1e-20 of the mass.  Each draw of a sampled block law
+    is rounded up onto its lattice and spread over the lattice cell above,
+    so the law lies stochastically above the score's and ``tight`` and
+    ``p_exact`` err on the conservative side, by at most two lattice steps a
+    sampled block.
+
+    ``hoeffding`` is guaranteed: given the keyed draws r, the blocks are
+    independent, each in [0, n_c] with n_c the steps scored in context c, and
+    their means sum to ``null_mean``; so P(S - null_mean >= x) <=
+    exp(-2 x^2 / sum_sq) with sum_sq = sum_c n_c^2, on any repetition.
+    """
+
+    lo: float
+    step: float
+    tails: np.ndarray = field(repr=False)
+    sum_sq: int
+    t: int
+    null_mean: float = math.nan
+
+    def tight(self, fpr: float) -> float:
+        """The lowest cell edge with at most ``fpr`` of the law above it."""
+        return self.lo + self.step * int(np.searchsorted(-self.tails, -fpr))
+
+    threshold = tight
+
+    def hoeffding(self, fpr: float) -> float:
+        return self.null_mean + math.sqrt(self.sum_sq * math.log(1.0 / fpr) / 2.0)
+
+    def p_values(self, score: float) -> tuple[float, float]:
+        """(block Hoeffding bound, the law's tail from the cell holding
+        ``score``, floored at the inversion's resolution)."""
+        gap = score - self.null_mean
+        p_hoeffding = math.exp(-2.0 * gap * gap / self.sum_sq) if gap > 0 else 1.0
+        k = math.ceil((score - self.lo) / self.step) - 1
+        tail = 1.0 if k < 0 else float(self.tails[k]) if k < self.tails.size else 0.0
+        return p_hoeffding, min(1.0, max(tail, _P_FLOOR))
+
+    def extra(self, score: float) -> dict:
+        return {"null_mean": self.null_mean}
 
 
 def _its_null_structure(arr: np.ndarray, ngram_n: int):
-    """Factorized (context id, token id) pairs for the scored steps.
-
-    Repeated contexts share one keyed draw and repeated tokens one rank, so
-    the null simulation must resample them consistently, not per step.
-    """
+    """Factorized (context id, token id) pairs for the scored steps."""
     contexts = np.lib.stride_tricks.sliding_window_view(arr[:-1], ngram_n)
     _, ctx_idx = np.unique(contexts, axis=0, return_inverse=True)
     _, tok_idx = np.unique(arr[ngram_n:], return_inverse=True)
     return ctx_idx.ravel(), tok_idx
 
 
-def _its_null_samples(
-    arr: np.ndarray, ngram_n: int, n_vocab: int, n_sims: int, seed: int
-) -> np.ndarray:
-    """Key-resampling null scores for the observed token sequence.
+def _its_signatures(ctx_idx: np.ndarray, tok_idx: np.ndarray) -> Counter:
+    """{signature: contexts}, a signature being the descending counts of the
+    distinct tokens that follow one context."""
+    pairs, counts = np.unique(ctx_idx * (int(tok_idx.max()) + 1) + tok_idx,
+                              return_counts=True)
+    ctx = pairs // (int(tok_idx.max()) + 1)
+    order = np.lexsort((-counts, ctx))
+    counts, ctx = counts[order], ctx[order]
+    cuts = np.flatnonzero(np.diff(ctx)) + 1
+    return Counter(tuple(c.tolist()) for c in np.split(counts, cuts))
 
-    Each simulation redraws one unit-interval value per distinct context and
-    one rank per distinct token value, mimicking a fresh key while keeping
-    the sequence's repetition structure.  Simulations run in blocks of about
-    4 000 000 elements; the block size fixes how the draws interleave in the
-    RNG stream, so changing it changes every simulated null.  A block first
-    draws all its context values (one float32 array of at most 16 MB), then
-    walks row sub-blocks of about ``_NULL_GATHER_ELEMENTS`` elements: it
-    draws their ranks, gathers, differences and sums them (a working set of
-    about 0.5 MB).  Drawing the ranks per sub-block, in row order, consumes
-    the stream exactly as one whole-block draw would, and int32 ranks take
-    numpy's 32-bit bounded path just as int64 ones do below 2^32, so both
-    give the same ranks; each row's float64 sum keeps its bits."""
+
+def _its_unit_moments(n_vocab: int) -> tuple[float, float]:
+    """Mean and variance of 1 - |r - u|: E|r - u| = (u^2 + (1-u)^2)/2 and
+    E(r - u)^2 = (u^3 + (1-u)^3)/3, averaged over the rank grid."""
+    u = (np.arange(n_vocab) + 0.5) / n_vocab
+    d1 = float(np.mean(u * u + (1 - u) ** 2)) / 2
+    d2 = float(np.mean(u ** 3 + (1 - u) ** 3)) / 3
+    return 1.0 - d1, d2 - d1 * d1
+
+
+def _its_unit_cf(n_vocab: int, omega: np.ndarray) -> np.ndarray:
+    """E exp(-i w F) of F = 1 - |r - u|, closed form.
+
+    For one u the integral over r is (e^{-iw(1-u)} + e^{-iwu} - 2e^{-iw})/(iw);
+    the rank grid is symmetric, and its mean of e^{-iwu} is e^{-iw/2} D with
+    D = sin(w/2)/(N sin(w/2N)), evaluated through w/2N = n pi + e as
+    (-1)^(n(N+1)) sin(Ne)/(N sin e) so it stays exact near its poles.
+    """
+    x = omega / (2 * n_vocab)
+    n = np.rint(x / np.pi)
+    e = x - n * np.pi
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = np.where(e == 0, 1.0, np.sin(n_vocab * e) / (n_vocab * np.sin(e)))
+        d = np.where(np.fmod(n * (n_vocab + 1), 2) == 1, -d, d)
+        h = omega / 2
+        cf = np.exp(-1j * h) * (np.sin(h) / h - 1j * (d - np.cos(h)) / h)
+    return np.where(omega == 0, 1.0, cf)
+
+
+def _distinct_ranks(draws: np.ndarray, n_vocab: int) -> np.ndarray:
+    """Rows of distinct ranks, uniform over ordered tuples, one rank per
+    uniform in ``draws``: the j-th is the x-th of the N - j ranks not yet
+    taken, x = floor(draw * (N - j)), found by stepping over the taken
+    ranks in ascending order (O(k^2) vector steps for k ranks a row)."""
+    rows, k = draws.shape
+    out = np.empty((k, rows), dtype=np.int64)
+    taken = np.empty((k, rows), dtype=np.int64)  # each row's ranks, ascending
+    for j, u in enumerate(draws.T):
+        x = np.minimum((u * (n_vocab - j)).astype(np.int64), n_vocab - j - 1)
+        for i in range(j):
+            x += x >= taken[i]
+        out[j] = taken[j] = x
+        for i in range(j, 0, -1):  # one insertion-sort pass
+            low = np.minimum(taken[i - 1], taken[i])
+            np.maximum(taken[i - 1], taken[i], out=taken[i])
+            taken[i - 1] = low
+    return out.T
+
+
+@functools.lru_cache(maxsize=256)
+def _its_block_law(n_vocab: int, sig: tuple[int, ...]):
+    """(step, pmf, mean, variance) of a block of signature ``sig`` (two or
+    more distinct tokens), from 2^16 seeded draws: ``pmf[k]`` is the share
+    of draws in ((k-1) step, k step], spread uniformly over the cell
+    (k step, (k+1) step] above, so the law has a density and lies
+    stochastically above the block's.  A law of atoms would keep its
+    spectrum from decaying, and its inversion rings on streams of few
+    blocks.
+
+    The draws are seeded from (N, signature) alone and taken as one row of
+    uniforms per block (r, then one per rank), so the law does not depend
+    on the ~128 K-element chunks they are drawn in.
+    """
+    m = np.asarray(sig, dtype=np.float64)
+    size = int(m.sum())
+    step = _LATTICE * 2.0 ** max(0, math.ceil(math.log2(size / 4)))
+    rows = max(1, _CHUNK_ELEMENTS // (m.size + 1))
+    rng = np.random.default_rng(np.random.SeedSequence([_DOMAIN_BLOCK, n_vocab, *sig]))
+    counts = np.zeros(round(size / step) + 1, dtype=np.int64)
+    for lo in range(0, _BLOCK_DRAWS, rows):
+        draws = rng.random((min(rows, _BLOCK_DRAWS - lo), m.size + 1))
+        r = draws[:, 0]
+        ranks = _distinct_ranks(draws[:, 1:], n_vocab)
+        f = np.zeros(r.size)
+        for j in range(m.size):
+            f += m[j] * (1.0 - np.abs(r - (ranks[:, j] + 0.5) / n_vocab))
+        counts += np.bincount(np.ceil(f / step).astype(np.int64), minlength=counts.size)
+    pmf = counts / _BLOCK_DRAWS
+    pmf.flags.writeable = False  # cached and shared
+    x = (np.arange(pmf.size) + 0.5) * step
+    mean = float(pmf @ x)
+    return step, pmf, mean, float(pmf @ (x - mean) ** 2) + step * step / 12
+
+
+def _zoom_dft(x: np.ndarray, bins: int, period: int) -> np.ndarray:
+    """sum_n x_n exp(-2 pi i j n / period) for j < bins, by Bluestein's
+    chirp convolution: jn = (j^2 + n^2 - (j - n)^2) / 2 turns the sum into a
+    convolution of FFT length ~(x.size + bins), however long the period."""
+    k = np.arange(max(x.size, bins))
+    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * period)) / period)
+    size = 1 << (x.size + bins - 2).bit_length()
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:bins] = chirp[:bins].conj()
+    kernel[size - x.size + 1 :] = chirp[1 : x.size][::-1].conj()
+    conv = np.fft.ifft(np.fft.fft(x * chirp[: x.size], size) * np.fft.fft(kernel))
+    return conv[:bins] * chirp[:bins]
+
+
+@functools.lru_cache(maxsize=1024)
+def _its_block_cf(n_vocab: int, sig: tuple[int, ...], width: float, bins: int) -> np.ndarray:
+    """A block's characteristic function E exp(-i w F) at w = 2 pi j / width,
+    j < bins: closed form for one distinct token, else the transform of the
+    lattice law times that of its cells, uniform on (0, step)."""
+    omega = 2 * np.pi / width * np.arange(bins)
+    if len(sig) == 1:
+        cf = _its_unit_cf(n_vocab, sig[0] * omega)
+    else:
+        step, pmf, _, _ = _its_block_law(n_vocab, sig)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cell = np.where(omega == 0, 1.0, -np.expm1(-1j * omega * step) / (1j * omega * step))
+        cf = _zoom_dft(pmf, bins, round(width / step)) * cell
+    cf.flags.writeable = False  # cached and shared
+    return cf
+
+
+def _its_null_samples(arr: np.ndarray, ngram_n: int, n_vocab: int,
+                      null_mean: float = math.nan) -> ItsNull:
+    """The key-resampling null law of the position score on ``arr``.
+
+    Keeps the name under which the null has always been timed.  The
+    sequence's blocks are grouped by signature; each signature's law is
+    built once per process and cached.  The sequence law is the inverse
+    transform of exp(sum_s c_s log phi_s), phi_s being signature s's
+    characteristic function and c_s its count, on a window of 2^14 cells:
+    the window spans the block Hoeffding bound at 1e-20 (or the whole
+    support, if narrower), and only the low-frequency bins where the
+    spectrum's modulus exceeds 1e-15 are kept.  No simulation runs per
+    call, and memory is bounded by the window, not by the sequence length.
+    """
     ctx_idx, tok_idx = _its_null_structure(arr, ngram_n)
-    n_ctx = int(ctx_idx.max()) + 1
-    n_tok = int(tok_idx.max()) + 1
-    t = ctx_idx.size
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_sims)
-    # float32 internals: worst-case 1e-5 absolute error in a 500-term sum,
-    # orders of magnitude below the score resolution that matters
-    u_of_rank = (np.arange(n_vocab).astype(np.float32) + 0.5) / n_vocab
-    block = max(1, min(n_sims, 4_000_000 // max(1, t)))
-    rows = max(1, _NULL_GATHER_ELEMENTS // max(1, t))
-    for lo in range(0, n_sims, block):
-        hi = min(lo + block, n_sims)
-        r_draws = rng.random((hi - lo, n_ctx), dtype=np.float32)
-        for a in range(lo, hi, rows):
-            b = min(a + rows, hi)
-            ranks = rng.integers(0, n_vocab, size=(b - a, n_tok), dtype=np.int32)
-            diff = r_draws[a - lo : b - lo, ctx_idx]
-            # take() casts the int32 ranks faster than fancy indexing does
-            diff -= u_of_rank.take(ranks)[:, tok_idx]
-            np.abs(diff, out=diff)
-            out[a:b] = t - diff.sum(axis=1, dtype=np.float64)
-    return out
+    blocks = _its_signatures(ctx_idx, tok_idx)
+    mean = var = top = spread = 0.0
+    unit_mean, unit_var = _its_unit_moments(n_vocab)
+    for sig, c in blocks.items():
+        if len(sig) == 1:  # closed form, no lattice
+            step, mu, v = 0.0, sig[0] * unit_mean, sig[0] ** 2 * unit_var
+        else:
+            step, _, mu, v = _its_block_law(n_vocab, sig)
+        mean += c * mu
+        var += c * v
+        top += c * (sum(sig) + 2 * step)
+        spread += c * (sum(sig) + 2 * step) ** 2
+    half = math.sqrt(spread * math.log(2.0 / _ALIAS) / 2.0)
+    width = 2.0 ** math.ceil(math.log2(min(2.0 * half, top)))
+    lo = 0.0 if top <= 2.0 * half else max(0.0, mean - width / 2.0)
+    # the spectrum falls like exp(-var w^2 / 2): start where that is ~e^-72
+    bins = 16
+    while bins < _CELLS // 2 and bins < 12 * width / (2 * np.pi * math.sqrt(var)):
+        bins *= 2
+    while True:
+        with np.errstate(divide="ignore"):
+            log_cf = sum(c * np.log(_its_block_cf(n_vocab, sig, width, bins))
+                         for sig, c in blocks.items())
+        cf = np.exp(log_cf)
+        if bins >= _CELLS // 2 or np.abs(cf[bins // 2 :]).max() <= _SPECTRUM_TOL:
+            break
+        bins *= 2
+    step = width / _CELLS
+    omega = 2 * np.pi / width * np.arange(bins)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        box = np.where(omega == 0, 1.0, np.expm1(1j * omega * step) / (1j * omega * step))
+    # cell k is (lo + k step, lo + (k+1) step]
+    cells = np.fft.irfft(cf * np.exp(1j * omega * lo) * box, n=_CELLS)
+    np.maximum(cells, 0.0, out=cells)
+    tails = np.cumsum(cells[::-1])[::-1]
+    return ItsNull(lo, step, tails, int((np.bincount(ctx_idx) ** 2).sum()),
+                   ctx_idx.size, null_mean)
 
 
 def _its_score_trace(tokens, key: bytes, n_vocab: int, ngram_n: int):
@@ -404,22 +583,23 @@ def detect_its(
 ) -> DetectionReport:
     """Position-score detector: sum of 1 - |r - u(token)|.
 
-    The null depends on the realized keyed draws, so both p-value and
-    threshold are Monte-Carlo estimates (seeded) rather than guarantees.
+    The threshold and ``p_exact`` come from the score's key-resampling null
+    law (:class:`ItsNull`), deterministic and built without simulation per
+    call; ``p_hoeffding`` and ``null.hoeffding`` are the guaranteed block
+    Hoeffding bound.  ``null_sims`` and ``sim_seed`` are accepted and not
+    read: they sized and seeded the Monte-Carlo null this law replaced.
     """
     score, trace, rs = _its_score_trace(tokens, key, n_vocab, ngram_n)
     arr = np.asarray(tokens, dtype=np.int64)
-    samples = _its_null_samples(arr, ngram_n, n_vocab, null_sims, sim_seed)
-    # per-step null means over the exact rank grid, so a valid Hoeffding
-    # bound for sums of independent [0,1] terms is still available
+    # per-step null means given the keyed draws, over the exact rank grid
     u_grid = (np.arange(n_vocab) + 0.5) / n_vocab
-    rows = max(1, _NULL_GATHER_ELEMENTS // n_vocab)
+    rows = max(1, _CHUNK_ELEMENTS // n_vocab)
     step_means = [
         1.0 - np.abs(rs[a : a + rows, None] - u_grid[None, :]).mean(axis=1)
         for a in range(0, rs.size, rows)
     ]
     null_mean = float(np.sum(np.concatenate(step_means)))
-    return _report("its", score, trace, SimulatedNull(samples, null_mean, len(trace)), fpr)
+    return _report("its", score, trace, _its_null_samples(arr, ngram_n, n_vocab, null_mean), fpr)
 
 
 def detect_method(
@@ -430,15 +610,12 @@ def detect_method(
     map_: ClusterMap | None,
     n_vocab: int,
     fpr: float = 0.01,
-    null_sims: int = 10_000,
-    sim_seed: int = 0,
 ) -> DetectionReport:
     """The detector of ``config``'s strategy, from the strategy table.
 
-    ``map_`` is read only by cluster-context strategies; ``null_sims`` and
-    ``sim_seed`` only by the simulated null.
+    ``map_`` is read only by cluster-context strategies.
     """
     entry = STRATEGIES[config.strategy]
     detector = globals()[entry.detector]  # looked up per call, see Strategy
-    return detector(tokens, key, fpr=fpr, **entry.detector_args(
-        config, ngram_n, map_, n_vocab, null_sims=null_sims, sim_seed=sim_seed))
+    return detector(tokens, key, fpr=fpr,
+                    **entry.detector_args(config, ngram_n, map_, n_vocab))

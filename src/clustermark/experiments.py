@@ -100,7 +100,12 @@ def _default_model() -> SyntheticModelConfig:
 
 @dataclass
 class ExperimentConfig:
-    """Everything a harness run needs, loadable from one JSON object."""
+    """Everything a harness run needs, loadable from one JSON object.
+
+    ``its_null_sims`` is accepted, written back by :meth:`to_dict` and not
+    read: it sized the Monte-Carlo ITS null, which the deterministic
+    key-resampling law (``detect.ItsNull``) replaced.
+    """
 
     model: SyntheticModelConfig = field(default_factory=_default_model)
     embedding_file: str | None = None
@@ -286,7 +291,7 @@ def _derive_seed(master: int, *key: int) -> int:
 
 
 # sub-stream ids for _derive_seed
-_S_PROMPT, _S_GEN, _S_CHANNEL, _S_NULL, _S_NULLCH, _S_ATTACK, _S_ITS = range(7)
+_S_PROMPT, _S_GEN, _S_CHANNEL, _S_NULL, _S_NULLCH, _S_ATTACK = range(6)
 
 
 @dataclass
@@ -386,19 +391,17 @@ def _detect_multi(
     tokens,
     cfg: ExperimentConfig,
     map_: ClusterMap,
-    sim_seed: int,
 ) -> dict:
     """Score + per-fpr verdicts for one sequence under one method.
 
     Two threshold families per fpr, both from the report's null law: the
     tight one (exact binomial quantile; the normal approximation for the
-    greenlist counters) and the Hoeffding closed form (looser, but an
-    h-independent margin; the form the binomial detectors report).  The
-    position-score detector has no guaranteed threshold, so both columns
-    carry its simulated one.
+    greenlist counters; the key-resampling law for the position score) and
+    the Hoeffding closed form (looser, but guaranteed; for the position
+    score, the per-context block bound).
     """
     rep = detect_method(method.config, method.ngram_n, tokens, cfg.key, map_,
-                        cfg.model.n_vocab, cfg.fpr_grid[0], cfg.its_null_sims, sim_seed)
+                        cfg.model.n_vocab, cfg.fpr_grid[0])
     return {
         "score": rep.score,
         "steps": rep.steps_scored,
@@ -435,7 +438,7 @@ def _apply_attack(tokens, attack: str, param, cfg: ExperimentConfig, seed: int):
     if attack == "crop":
         keep = int(param)
         drop = max(0, len(tokens) - keep)
-        return attack_crop(tokens, 0, drop)
+        return attack_crop(tokens, 0, drop, cfg.model.n_vocab)
     if attack == "insert_delete":
         rate = float(param)
         return attack_insert_delete(tokens, rate, rate, cfg.model.n_vocab, seed)
@@ -460,7 +463,7 @@ def _trial_chunk(args) -> list[tuple]:
     sequence is generated and channelled once and scored under every cell
     as condition "null".
     """
-    cfg, model, embeddings, ref_map, cells, attacks, its_offset, null, trials = args
+    cfg, model, embeddings, ref_map, cells, attacks, null, trials = args
     neighbors = None
     if cfg.channel is not None:
         neighbors = same_cluster_neighbors(ref_map, embeddings, cfg.channel.same_cluster_pool)
@@ -480,31 +483,25 @@ def _trial_chunk(args) -> list[tuple]:
             for ai, (attack, param) in enumerate(attacks):
                 seq = _apply_attack(wm, attack, param, cfg,
                                     _derive_seed(cfg.seed, _S_ATTACK, ci, trial, ai))
-                out.append((ci, ai, _detect_multi(
-                    method, seq, cfg, map_,
-                    _derive_seed(cfg.seed, _S_ITS, ci, trial, its_offset + ai))))
+                out.append((ci, ai, _detect_multi(method, seq, cfg, map_)))
             if null:
-                out.append((ci, "null", _detect_multi(
-                    method, null_seq, cfg, map_, _derive_seed(cfg.seed, _S_ITS, ci, trial, 1))))
+                out.append((ci, "null", _detect_multi(method, null_seq, cfg, map_)))
     return out
 
 
 def _sweep(cfg: ExperimentConfig, env, cells: list[tuple[MethodSpec, ClusterMap]],
-           attacks: list[tuple[str, object]], threads: int, its_offset: int = 0,
+           attacks: list[tuple[str, object]], threads: int,
            null: bool = False) -> dict[tuple, list[dict]]:
     """Every cell over every trial: {(cell, condition): results in trial order}.
 
     The trials are cut into one contiguous chunk per worker, each chunk in
     its own worker process when there are several.  Every result derives its
     randomness from the config, the cell and the trial, so the worker count
-    never changes a result.  The ITS null of the sequence after attack ``ai``
-    is seeded with tag ``its_offset + ai`` (the null sequence's tag is 1):
-    robustness starts at 2, the others at 0.  The offset is there only to
-    keep the seeded ITS columns of each sweep byte-identical.
+    never changes a result.
     """
     model, embeddings, ref_map = env
     size = math.ceil(cfg.trials / max(1, min(threads, cfg.trials)))
-    tasks = [(cfg, model, embeddings, ref_map, cells, attacks, its_offset, null,
+    tasks = [(cfg, model, embeddings, ref_map, cells, attacks, null,
               range(lo, min(lo + size, cfg.trials))) for lo in range(0, cfg.trials, size)]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
@@ -561,8 +558,7 @@ def run_robustness(cfg: ExperimentConfig, threads: int = 1) -> ResultTable:
     """
     env = fit_environment(cfg)
     attacks = attack_grid(cfg)
-    results = _sweep(cfg, env, [(m, env[2]) for m in cfg.methods], attacks, threads,
-                     its_offset=2)
+    results = _sweep(cfg, env, [(m, env[2]) for m in cfg.methods], attacks, threads)
     table = ResultTable("run-robustness", cfg.to_dict())
     for ci, method in enumerate(cfg.methods):
         for ai, (attack, param) in enumerate(attacks):

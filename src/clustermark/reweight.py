@@ -358,10 +358,9 @@ class Strategy:
     watermarked token.  ``detector`` names the function in
     :mod:`clustermark.detect` that sums the strategy's per-step score and
     judges the sum against its null law; ``detector_args(config, ngram_n,
-    map_, n_vocab, null_sims=, sim_seed=)`` gives that function's
-    parameters.  Steps and detectors call functions by their module-global
-    names at call time, so wrappers installed on module attributes (as a
-    tracer does) see every call.
+    map_, n_vocab)`` gives that function's parameters.  Steps and detectors
+    call functions by their module-global names at call time, so wrappers
+    installed on module attributes (as a tracer does) see every call.
     """
 
     params: tuple[str, ...]
@@ -384,7 +383,7 @@ def _dipmark(params: tuple[str, ...], alpha: Callable[[ReweightConfig], float]) 
         lambda dist, code, session, rng: _sample_plain(
             dipmark_reweight(dist, code, alpha(session.config)), rng),
         "detect_dipmark",
-        lambda config, ngram_n, map_, n_vocab, **_: dict(
+        lambda config, ngram_n, map_, n_vocab: dict(
             n_vocab=n_vocab, alpha_detect=alpha(config), ngram_n=ngram_n),
     )
 
@@ -393,21 +392,20 @@ STRATEGIES: dict[str, Strategy] = {
     "aligned_is": Strategy(
         ("h",), "cluster", _aligned_step,
         "detect_aligned",
-        lambda config, ngram_n, map_, n_vocab, **_: dict(map_=map_, ngram_n=ngram_n),
+        lambda config, ngram_n, map_, n_vocab: dict(map_=map_, ngram_n=ngram_n),
     ),
     "its": Strategy(
         (), "token",
         lambda dist, code, session, rng: its_sample(dist, code),
         "detect_its",
-        lambda config, ngram_n, map_, n_vocab, **sims: dict(
-            n_vocab=n_vocab, ngram_n=ngram_n, **sims),
+        lambda config, ngram_n, map_, n_vocab: dict(n_vocab=n_vocab, ngram_n=ngram_n),
     ),
     "kgw": Strategy(
         ("delta", "gamma"), "token",
         lambda dist, code, session, rng: _sample_plain(kgw_reweight(
             dist, code, session.config.delta, session.config.gamma), rng),
         "detect_kgw",
-        lambda config, ngram_n, map_, n_vocab, **_: dict(
+        lambda config, ngram_n, map_, n_vocab: dict(
             n_vocab=n_vocab, gamma=config.gamma, ngram_n=ngram_n),
     ),
     "unigram": Strategy(
@@ -415,7 +413,7 @@ STRATEGIES: dict[str, Strategy] = {
         lambda dist, code, session, rng: _sample_plain(unigram_reweight(
             dist, session.key, session.config.delta, session.config.gamma), rng),
         "detect_unigram",
-        lambda config, ngram_n, map_, n_vocab, **_: dict(n_vocab=n_vocab, gamma=config.gamma),
+        lambda config, ngram_n, map_, n_vocab: dict(n_vocab=n_vocab, gamma=config.gamma),
     ),
     "dipmark": _dipmark(("alpha",), lambda config: config.alpha),
     # gamma-reweight (arXiv:2310.10669) is DiPmark (arXiv:2310.07710) at alpha 0.5

@@ -240,9 +240,9 @@ def attack_substitute(tokens, rate: float, n_vocab: int, seed: int = 0) -> np.nd
     return arr
 
 
-def attack_crop(tokens, drop_front: int, drop_back: int) -> np.ndarray:
+def attack_crop(tokens, drop_front: int, drop_back: int, n_vocab: int) -> np.ndarray:
     """Remove prefix/suffix tokens (whole-token cropping / time shift)."""
-    arr = np.asarray(tokens, dtype=np.int64)
+    arr = _validate_tokens(tokens, n_vocab)
     if drop_front < 0 or drop_back < 0:
         raise ValueError("crop amounts must be non-negative")
     if arr.size - drop_front - drop_back < 2:

@@ -15,10 +15,9 @@ from scipy.stats import binom
 
 from clustermark.clustering import ClusterMap, mismatch_rates
 from clustermark.detect import (
-    _its_null_samples,
-    _its_score_trace,
     detect_aligned,
     detect_dipmark,
+    detect_its,
     exact_binomial_pvalue,
     hoeffding_pvalue,
     hoeffding_threshold,
@@ -218,13 +217,8 @@ def test_criterion_05_method_ordering(env):
                     rep = detect_dipmark(seq, KEY, n_vocab, 0.4, m.ngram_n, fpr)
                     hits += rep.score > binom.isf(fpr, rep.steps_scored, 0.6)
                 else:
-                    score, trace, _ = _its_score_trace(seq, KEY, n_vocab,
-                                                       m.ngram_n)
-                    null = _its_null_samples(
-                        seq, m.ngram_n, n_vocab, 10_000,
-                        _derive_seed(9001, 3, mi, trial),
-                    )
-                    hits += score > float(np.quantile(null, 1 - fpr))
+                    rep = detect_its(seq, KEY, n_vocab, m.ngram_n, fpr)
+                    hits += rep.score > rep.null.tight(fpr)
             tpr[name] = hits / trials
         assert tpr["aligned"] > tpr["its"], (preset, tpr)
         assert tpr["aligned"] > tpr["dipmark"], (preset, tpr)

@@ -1,15 +1,26 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from clustermark import detect
 from clustermark.detect import (
+    _BLOCK_DRAWS,
+    _P_FLOOR,
+    _its_block_cf,
+    _its_block_law,
     _its_null_samples,
     _its_null_structure,
     _its_score_trace,
+    _its_signatures,
+    _its_unit_cf,
     detect_aligned,
     detect_dipmark,
     detect_its,
@@ -20,8 +31,9 @@ from clustermark.detect import (
     hoeffding_threshold,
 )
 from clustermark.core import WatermarkCode, _prf_permutation_raw, clear_prf_caches, prf_r
-from clustermark.generate import GenerationSession, generate
+from clustermark.generate import GenerationSession, generate, generate_unwatermarked
 from clustermark.reweight import ReweightConfig
+from clustermark.simenv import SyntheticModelConfig, build_synthetic_model
 
 from conftest import ConstantModel, balanced_cluster_map
 
@@ -29,21 +41,45 @@ KEY = b"detect-tests"
 MOTIF = np.resize(np.array([3, 47, 91, 3, 47, 91, 3, 200]), 501)
 
 
-def _whole_block_null(arr, ngram_n, n_vocab, sims, seed):
-    """Reference ITS null: each 4 000 000-element block's ranks drawn as one
-    int64 array and its whole gather summed at once."""
-    ctx_idx, tok_idx = _its_null_structure(arr, ngram_n)
-    t = ctx_idx.size
-    draws = np.random.default_rng(seed)
-    block = min(sims, 4_000_000 // t)
-    ref = []
-    for lo in range(0, sims, block):
-        n = min(block, sims - lo)
-        r = draws.random((n, ctx_idx.max() + 1), dtype=np.float32)
-        u = (draws.integers(0, n_vocab, size=(n, tok_idx.max() + 1))
-             .astype(np.float32) + 0.5) / n_vocab
-        ref.append(t - np.abs(r[:, ctx_idx] - u[:, tok_idx]).sum(axis=1, dtype=np.float64))
-    return np.concatenate(ref)
+def _clear_its_laws():
+    for cached in (_its_block_law, _its_block_cf):
+        cached.cache_clear()
+
+
+def _law_cells(null):
+    """(upper cell edges, cell masses) of an ITS null law."""
+    mass = -np.diff(np.append(null.tails, 0.0))
+    return null.lo + null.step * np.arange(1, mass.size + 1), mass
+
+
+def _law_sd(null) -> float:
+    x, mass = _law_cells(null)
+    mean = float(mass @ x)
+    return math.sqrt(float(mass @ (x - mean) ** 2))
+
+
+def _whole_support_tails(arr, n_vocab, null):
+    """The law's tails recomputed over a window that holds the whole
+    support, with every spectral bin up to the cells' Nyquist kept, on the
+    same cell edges as ``null``: the reference for the windowed,
+    truncated inversion."""
+    blocks = _its_signatures(*_its_null_structure(arr, 1))
+    step = null.step
+    shift = math.ceil(null.lo / step)
+    lo = null.lo - shift * step  # in (-step, 0]
+    top = max(null.t + 2.0, null.lo + step * null.tails.size)
+    width = 2.0 ** math.ceil(math.log2(top - lo))
+    cells = round(width / step)
+    bins = cells // 2
+    cf = np.ones(bins, dtype=np.complex128)
+    for sig, c in blocks.items():
+        cf *= _its_block_cf.__wrapped__(n_vocab, sig, width, bins) ** c
+    omega = 2 * np.pi / width * np.arange(bins)
+    box = np.ones(bins, dtype=np.complex128)
+    box[1:] = np.expm1(1j * omega[1:] * step) / (1j * omega[1:] * step)
+    mass = np.fft.irfft(cf * np.exp(1j * omega * lo) * box, n=cells).clip(0.0)
+    tails = np.cumsum(mass[::-1])[::-1]
+    return tails[shift : shift + null.tails.size]
 
 
 def _peak_traced_mb(fn) -> float:
@@ -302,59 +338,64 @@ class TestDetectIts:
         n_vocab = 50
         rep_seq = np.array([7, 9] * 100)
         div_seq = np.arange(200) % 50
-        null_rep = _its_null_samples(rep_seq, 1, n_vocab, 2000, 5)
-        null_div = _its_null_samples(div_seq, 1, n_vocab, 2000, 5)
-        assert null_rep.std() > 3 * null_div.std()
+        null_rep = _its_null_samples(rep_seq, 1, n_vocab)
+        null_div = _its_null_samples(div_seq, 1, n_vocab)
+        assert _law_sd(null_rep) > 3 * _law_sd(null_div)
 
-    @pytest.mark.parametrize("t, sims", [(400, 10_000), (9000, 700)])
-    def test_null_sub_blocks_match_whole_block_sums(self, rng, t, sims):
-        # reference: the whole draw block gathered and summed at once
+    @pytest.mark.parametrize("t, chunk_rows", [(400, 10_000), (9000, 700)])
+    def test_null_sub_blocks_match_whole_block_sums(self, rng, monkeypatch, t, chunk_rows):
+        # every block law drawn in chunks of rows equals the one drawn as
+        # one whole block of 2^16 rows
         arr = rng.integers(0, 1024, t + 1)
-        ctx_idx, tok_idx = _its_null_structure(arr, 1)
-        draws = np.random.default_rng(5)
-        block = min(sims, 4_000_000 // t)
-        ref = []
-        for lo in range(0, sims, block):
-            n = min(block, sims - lo)
-            r = draws.random((n, ctx_idx.max() + 1), dtype=np.float32)
-            u = (draws.integers(0, 1024, size=(n, tok_idx.max() + 1))
-                 .astype(np.float32) + 0.5) / 1024
-            ref.append(t - np.abs(r[:, ctx_idx] - u[:, tok_idx]).sum(axis=1, dtype=np.float64))
-        null = _its_null_samples(arr, 1, 1024, sims, 5)
-        assert null.tobytes() == np.concatenate(ref).tobytes()
+        sigs = [s for s in _its_signatures(*_its_null_structure(arr, 1)) if len(s) > 1]
+        assert sigs
+        for sig in sigs:
+            laws = []
+            for rows in (chunk_rows, _BLOCK_DRAWS):
+                monkeypatch.setattr(detect, "_CHUNK_ELEMENTS", rows * (len(sig) + 1))
+                laws.append(_its_block_law.__wrapped__(1024, sig))
+            (chunked, whole) = laws
+            assert chunked[1].tobytes() == whole[1].tobytes(), sig
+            assert chunked[0::2] == whole[0::2]
 
     @pytest.mark.parametrize("n_vocab", [500, 1024, 4096])
     @pytest.mark.parametrize("t", [49, 499, "motif"])
     def test_null_matches_whole_block_stream(self, rng, n_vocab, t):
-        # int32 rank draws per row sub-block must consume the RNG stream
-        # exactly as one int64 draw per block did
+        # the windowed law, with its spectrum cut where the modulus is
+        # negligible, matches the law over the whole support with every bin
         arr = MOTIF if t == "motif" else rng.integers(0, n_vocab, t + 1)
-        null = _its_null_samples(arr, 1, n_vocab, 10_000, 5)
-        assert null.tobytes() == _whole_block_null(arr, 1, n_vocab, 10_000, 5).tobytes()
+        null = _its_null_samples(arr, 1, n_vocab)
+        ref = _whole_support_tails(arr, n_vocab, null)
+        assert np.abs(null.tails - ref).max() < 1e-9
 
     def test_null_mean_matches_whole_matrix(self, rng):
         n_vocab = 4096
         seq = rng.integers(0, n_vocab, 501)
-        rep = detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=100)
+        rep = detect_its(seq, KEY, n_vocab, 1, 0.01)
         _, trace, rs = _its_score_trace(seq, KEY, n_vocab, 1)
         u_grid = (np.arange(n_vocab) + 0.5) / n_vocab
         ref = float(np.sum(1.0 - np.abs(rs[:, None] - u_grid[None, :]).mean(axis=1)))
+        # the block Hoeffding bound divides by the sum of squared steps per context
+        sum_sq = int((np.unique(seq[:-1], return_counts=True)[1] ** 2).sum())
+        assert sum_sq > len(trace)  # some contexts repeat
         gap = rep.score - ref
-        p_ref = math.exp(-2.0 * gap * gap / len(trace)) if gap > 0 else 1.0
+        p_ref = math.exp(-2.0 * gap * gap / sum_sq) if gap > 0 else 1.0
         assert rep.extra["null_mean"].hex() == ref.hex()
         assert rep.p_hoeffding.hex() == p_ref.hex()
+        assert rep.null.hoeffding(0.01) == ref + math.sqrt(sum_sq * math.log(100) / 2)
 
     def test_null_memory_bounded_at_codec_vocabulary(self, rng):
-        # the whole-block null held ~58 MB here: int64 ranks, their float32
-        # copy and whole-block gathers besides the 16 MB float32 draw block
+        # the Monte-Carlo null this law replaced held ~58 MB here before it
+        # streamed its draws, and ~20 MB after
         n_vocab = 4096
         seq = rng.integers(0, n_vocab, 501)
-        assert _peak_traced_mb(
-            lambda: _its_null_samples(seq, 1, n_vocab, 10_000, 0)) < 24
+        _clear_its_laws()
+        assert _peak_traced_mb(lambda: _its_null_samples(seq, 1, n_vocab)) < 24
         # the keyed permutations detection fills belong to the PRF cache,
         # not to the null: fill it before measuring
         clear_prf_caches()
         _its_score_trace(seq, KEY, n_vocab, 1)
+        _clear_its_laws()
         assert _peak_traced_mb(
             lambda: detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=10_000)) < 24
         clear_prf_caches()
@@ -374,6 +415,110 @@ class TestDetectIts:
         seq = rng.integers(0, n_vocab, 100)
         rep = detect_its(seq, KEY, n_vocab, 1, 0.01, null_sims=500)
         assert rep.p_exact >= 1.0 / 501
+
+
+def _model_null_sequence(n_vocab: int, length: int) -> np.ndarray:
+    model, _ = build_synthetic_model(SyntheticModelConfig(
+        n_vocab=n_vocab, dim=24, true_clusters=20, dirichlet_beta=0.005, seed=101))
+    return np.asarray(generate_unwatermarked(model, [1, 2, 3], length, seed=4))
+
+
+# (sequence, vocabulary size); the motif holds id 200, so its vocabulary is 201
+GATE_SEQUENCES = {
+    "model_null": (lambda: _model_null_sequence(200, 500), 200),
+    "uniform": (lambda: np.random.default_rng(8).integers(0, 80, 500), 80),
+    "motif": (lambda: MOTIF, 201),
+    "run": (lambda: np.full(200, 17), 80),
+}
+
+
+class TestItsKeyResampling:
+    """The ITS null law against the real detector under 1000 fresh keys."""
+
+    KEYS = 1000
+
+    @pytest.fixture(scope="class", params=sorted(GATE_SEQUENCES))
+    def resampled(self, request):
+        make, n_vocab = GATE_SEQUENCES[request.param]
+        seq = make()
+        reports = [detect_its(seq, b"gate-%d" % i, n_vocab) for i in range(self.KEYS)]
+        return reports
+
+    def test_quantiles_agree_with_law(self, resampled):
+        scores = np.array([rep.score for rep in resampled])
+        null = resampled[0].null
+        assert all(np.array_equal(rep.null.tails, null.tails) for rep in resampled[1:])
+        for q in (0.5, 0.95, 0.99):
+            share = float(np.mean(scores <= null.tight(1 - q)))
+            assert abs(share - q) <= 4 * math.sqrt(q * (1 - q) / self.KEYS), (q, share)
+
+    @pytest.mark.parametrize("f", [0.01, 0.05])
+    def test_flagged_share_within_fpr(self, resampled, f):
+        bound = f + 3 * math.sqrt(f * (1 - f) / self.KEYS)
+        tight = np.mean([rep.score > rep.null.tight(f) for rep in resampled])
+        hoeffding = np.mean([rep.score > rep.null.hoeffding(f) for rep in resampled])
+        assert tight <= bound and hoeffding <= bound, (tight, hoeffding, bound)
+
+
+class TestItsLaw:
+    def test_unit_cf_matches_integral(self):
+        # E exp(-i w (1 - |r - u|)) by the midpoint rule over r, at
+        # frequencies that include the poles of the rank-grid sum
+        for n_vocab in (7, 80):
+            u = (np.arange(n_vocab) + 0.5) / n_vocab
+            r = (np.arange(200_000) + 0.5) / 200_000
+            w = np.array([0.0, 0.3, 5.0, 2 * np.pi * n_vocab, 6 * np.pi * n_vocab + 1e-7])
+            f = 1.0 - np.abs(r[:, None] - u[None, :])
+            ref = [np.mean(np.exp(-1j * x * f)) for x in w]
+            assert np.abs(_its_unit_cf(n_vocab, w) - ref).max() < 1e-6
+
+    def test_p_exact_floored_not_zero(self):
+        n_vocab = 1000
+        model = ConstantModel(np.full(n_vocab, 1.0 / n_vocab))
+        ses = GenerationSession(key=KEY, config=ReweightConfig("its"), ngram_n=1, rng_seed=3)
+        rep = detect_its(generate(model, [0], 400, ses), KEY, n_vocab)
+        assert rep.p_exact == _P_FLOOR > 0
+        assert rep.null.p_values(1e9)[1] == _P_FLOOR
+
+    def test_few_sampled_blocks_match_direct_resampling(self):
+        # two contexts, each followed by both tokens: the law is the sum of
+        # two sampled blocks, whose spectrum never falls below the cut, so
+        # the inversion must hold unit mass and match direct resampling
+        n_vocab, keys = 80, 20_000
+        seq = np.random.default_rng(1).integers(0, 2, 301) + 5
+        null = _its_null_samples(seq, 1, n_vocab)
+        assert abs(null.tails[0] - 1.0) < 1e-6 and null.tails.max() < 1.0 + 1e-6
+        ctx_idx, tok_idx = _its_null_structure(seq, 1)
+        draws = np.random.default_rng(0)
+        r = draws.random((keys, 2))
+        ranks = np.argsort(draws.random((keys, 2, n_vocab)), axis=2)[:, :, :2]
+        u = (ranks + 0.5) / n_vocab
+        scores = (1.0 - np.abs(r[:, ctx_idx] - u[:, ctx_idx, tok_idx])).sum(axis=1)
+        for f in (0.5, 0.05, 0.01):
+            share = float(np.mean(scores > null.tight(f)))
+            assert abs(share - f) <= 4 * math.sqrt(f * (1 - f) / keys), (f, share)
+
+    def test_law_memory_bounded_on_long_stream(self):
+        seq = np.random.default_rng(2).integers(0, 4096, 50_001)
+        _its_null_samples(seq[:600], 1, 4096)  # numpy's FFT plan cache, not the law
+        _clear_its_laws()
+        assert _peak_traced_mb(lambda: _its_null_samples(seq, 1, 4096)) < 16
+
+    def test_reports_identical_across_processes(self, tmp_path):
+        script = (
+            "import json, numpy as np\n"
+            "from clustermark.detect import detect_its\n"
+            "seqs = [np.random.default_rng(5).integers(0, 300, 400), np.resize([3, 47, 91, 3, 200], 301)]\n"
+            "reps = [detect_its(s, b'det', 301) for s in seqs]\n"
+            "print(json.dumps([[r.to_json_dict(), r.null.tails.tolist()] for r in reps]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True).stdout)
+        assert outs[0] == outs[1] and len(outs[0]) > 1000
 
 
 class TestRankCache:

@@ -214,11 +214,11 @@ class TestAttacks:
 
     def test_crop(self, rng):
         seq = rng.integers(0, 10, 20)
-        assert np.array_equal(attack_crop(seq, 0, 0), seq)
-        out = attack_crop(seq, 3, 4)
+        assert np.array_equal(attack_crop(seq, 0, 0, 10), seq)
+        out = attack_crop(seq, 3, 4, 10)
         assert np.array_equal(out, seq[3:16])
         with pytest.raises(ValueError, match="at least 2"):
-            attack_crop(seq, 10, 9)
+            attack_crop(seq, 10, 9, 10)
 
     def test_insert_delete(self, rng):
         seq = rng.integers(0, 10, 50)
@@ -249,3 +249,9 @@ class TestTokenValidation:
         emb = np.zeros((500, 2))
         with pytest.raises(ValueError, match="outside the vocabulary"):
             op([1, 2, bad, 4, 5] * 20, balanced_cluster_map(500, 20), emb)
+
+    @pytest.mark.parametrize("bad", [-3, 500])
+    def test_crop_rejects_ids_outside_vocabulary(self, bad):
+        # crop used to return both ids unchanged, for the detector to reject
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            attack_crop([1, 2, bad, 4, 5] * 20, 1, 1, 500)

@@ -1,6 +1,7 @@
-"""Summarise a before/after benchmark record.
+"""Summarise a before/after benchmark record, or compare two records.
 
     python3 tools/bench_summary.py BENCH_9.json
+    python3 tools/bench_summary.py BENCH_10.json BENCH_13.json
 
 A record holds, per workload, interleaved ``pairs`` of perfbench results,
 each ``{"seed", "first", "parent": {metric: value}, "change": {...}}``, and
@@ -9,6 +10,12 @@ metric this prints each side's median and quartiles and the pairs the
 change won; for every traced metric that moved, parent and change side by
 side.  Every metric here is better lower, so a win is a pair where the
 change's value is lower; ties count for neither side.
+
+Given two records, it prints instead, for every workload and end-to-end
+metric both hold, the median of each record's change side and the delta
+from the first record to the second: the trajectory across changes.  Runs
+in different records were made at different times on a shared host, so a
+delta smaller than either record's quartile spread says little.
 """
 
 from __future__ import annotations
@@ -49,10 +56,32 @@ def _side(q: dict) -> str:
     return f"{q['median']:10.4f}  [{q['q1']:.4f}, {q['q3']:.4f}]"
 
 
+def compare(first: dict, second: dict) -> None:
+    """Per workload and metric: each record's change-side median and the delta."""
+    print(f"{'workload':14} {'metric':12} {'first median':>14} {'second median':>14} "
+          f"{'delta':>11} {'delta %':>8}")
+    for name, w in first["workloads"].items():
+        if name not in second["workloads"]:
+            continue
+        before, after = summary(w["pairs"]), summary(second["workloads"][name]["pairs"])
+        for metric in before:
+            if metric not in after:
+                continue
+            a, b = before[metric]["change"]["median"], after[metric]["change"]["median"]
+            print(f"{name:14} {metric:12} {a:14.4f} {b:14.4f} {b - a:+11.4f} "
+                  f"{100 * (b - a) / a:+7.1f}%")
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("record", type=Path, help="a BENCH_*.json file")
-    bench = json.loads(p.parse_args(argv).record.read_text())
+    p.add_argument("second", type=Path, nargs="?",
+                   help="a later BENCH_*.json file to compare the first with")
+    args = p.parse_args(argv)
+    bench = json.loads(args.record.read_text())
+    if args.second is not None:
+        compare(bench, json.loads(args.second.read_text()))
+        return
 
     print(f"{'workload':14} {'metric':12} {'parent median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30}  change lower in")
